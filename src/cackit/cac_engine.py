@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import classifiers as _clf
-from .cluster_core import kmeanspp_init, lloyd, nearest_index
+from .cluster_core import kmeanspp_init, lloyd, nearest_centroids
 from .dataset import LabeledDataset
 from .errors import (
     DimensionMismatch,
@@ -35,15 +35,6 @@ from .errors import (
 DEFAULT_MAX_ROUNDS = 100
 # a move must beat this margin; guards the strict-descent property against roundoff
 MOVE_TOL = 1e-9
-
-
-class OpCount:
-    """Running tally of elementwise array operations, for scaling checks."""
-
-    __slots__ = ("n",)
-
-    def __init__(self):
-        self.n = 0
 
 
 @dataclass
@@ -115,8 +106,7 @@ def total_cost(state: ClusterState, ds: LabeledDataset) -> float:
     return float(sum(cluster_cost(state, ds, j) for j in range(state.k) if state.sizes[j] > 0))
 
 
-def merge_cost_change(state: ClusterState, ds: LabeledDataset, j: int, i: int,
-                      ops: OpCount | None = None) -> float:
+def merge_cost_change(state: ClusterState, ds: LabeledDataset, j: int, i: int) -> float:
     """Change in cluster j's score if point i joined it, in O(d).
 
     Merging into an empty cluster scores 0 (a singleton has zero SSE and
@@ -133,8 +123,6 @@ def merge_cost_change(state: ClusterState, ds: LabeledDataset, j: int, i: int,
     d_x = mu_new - x
     d_mu = mu_new - mu
     delta_sse = float(d_x @ d_x) + n * float(d_mu @ d_mu)
-    if ops is not None:
-        ops.n += 10 * x.size
 
     sep_old = state.separation_sq(j)
     if ds.labels[i] == 1:
@@ -147,8 +135,6 @@ def merge_cost_change(state: ClusterState, ds: LabeledDataset, j: int, i: int,
     if other_count > 0:
         gap = own_new - other
         sep_new = float(gap @ gap)
-        if ops is not None:
-            ops.n += 2 * x.size
     else:
         sep_new = 0.0
     return delta_sse + state.alpha * (n * sep_old - (n + 1.0) * sep_new)
@@ -163,8 +149,7 @@ def can_remove(state: ClusterState, ds: LabeledDataset, p: int, i: int) -> bool:
     return state.neg_counts[p] >= 2 and state.pos_counts[p] >= 1
 
 
-def removal_cost_change(state: ClusterState, ds: LabeledDataset, p: int, i: int,
-                        ops: OpCount | None = None) -> float:
+def removal_cost_change(state: ClusterState, ds: LabeledDataset, p: int, i: int) -> float:
     """Change in cluster p's score if point i left it, in O(d).
 
     Refuses removals that would empty the cluster or leave it one-class.
@@ -182,8 +167,6 @@ def removal_cost_change(state: ClusterState, ds: LabeledDataset, p: int, i: int,
     d_x = mu - x
     d_mu = mu_new - mu
     delta_sse = -float(d_x @ d_x) - (n - 1.0) * float(d_mu @ d_mu)
-    if ops is not None:
-        ops.n += 10 * x.size
 
     sep_old = state.separation_sq(p)
     if ds.labels[i] == 1:
@@ -195,21 +178,17 @@ def removal_cost_change(state: ClusterState, ds: LabeledDataset, p: int, i: int,
     own_new = (own_count * own - x) / (own_count - 1.0)
     gap = own_new - other
     sep_new = float(gap @ gap)
-    if ops is not None:
-        ops.n += 2 * x.size
     return delta_sse + state.alpha * (n * sep_old - (n - 1.0) * sep_new)
 
 
-def move_cost_change(state: ClusterState, ds: LabeledDataset, i: int, p: int, q: int,
-                     ops: OpCount | None = None) -> float:
+def move_cost_change(state: ClusterState, ds: LabeledDataset, i: int, p: int, q: int) -> float:
     """Total-score change of moving point i from cluster p to q; 0 when p == q."""
     if p == q:
         return 0.0
-    return removal_cost_change(state, ds, p, i, ops) + merge_cost_change(state, ds, q, i, ops)
+    return removal_cost_change(state, ds, p, i) + merge_cost_change(state, ds, q, i)
 
 
-def apply_move(state: ClusterState, ds: LabeledDataset, i: int, p: int, q: int,
-               ops: OpCount | None = None) -> ClusterState:
+def apply_move(state: ClusterState, ds: LabeledDataset, i: int, p: int, q: int) -> ClusterState:
     """Move point i from cluster p to q, updating all bookkeeping in O(d)."""
     if state.assignments[i] != p:
         raise IllegalMove(f"point {i} is not in cluster {p}")
@@ -244,14 +223,18 @@ def apply_move(state: ClusterState, ds: LabeledDataset, i: int, p: int, q: int,
         state.neg_counts[q] += 1
     state.sizes[q] += 1
     state.assignments[i] = q
-    if ops is not None:
-        ops.n += 12 * x.size
     return state
 
 
 @dataclass
 class CacRun:
-    """Everything a fit produced: final state plus per-round descent history."""
+    """Everything a fit produced: final state plus per-round descent history.
+
+    `ops_per_round` counts the candidate evaluations of each round in
+    feature entries: every point that passes the class guard is scored
+    against all k clusters (one removal plus k - 1 merges), d entries each,
+    so k * d per such point.
+    """
 
     state: ClusterState
     cost_trace: list[float]
@@ -279,7 +262,7 @@ def cac_fit(ds: LabeledDataset, k: int, alpha: float, max_rounds: int = DEFAULT_
     y = ds.labels
     if ds.n_classes != 2 or not ((y == 0).any() and (y == 1).any()):
         raise NotBinary("fit requires 0/1 labels with both classes present")
-    n = ds.n_samples
+    n, d = ds.n_samples, ds.n_features
     if not 1 <= k <= n:
         raise InfeasibleInit(f"k={k} outside [1, {n}]")
 
@@ -300,30 +283,31 @@ def cac_fit(ds: LabeledDataset, k: int, alpha: float, max_rounds: int = DEFAULT_
     ops_per_round: list[int] = []
     rounds = 0
     for _ in range(max_rounds):
-        ops = OpCount()
+        ops = 0
         moves = 0
         for i in range(n):
             p = int(state.assignments[i])
             if not can_remove(state, ds, p, i):
                 continue
-            removal = removal_cost_change(state, ds, p, i, ops)
+            ops += k * d
+            removal = removal_cost_change(state, ds, p, i)
             best_q = -1
             best_delta = np.inf
             for q in range(k):
                 if q == p:
                     continue
-                delta = removal + merge_cost_change(state, ds, q, i, ops)
+                delta = removal + merge_cost_change(state, ds, q, i)
                 if delta < best_delta:
                     best_delta = delta
                     best_q = q
             if best_delta < -MOVE_TOL:
-                apply_move(state, ds, i, p, best_q, ops)
+                apply_move(state, ds, i, p, best_q)
                 moves += 1
                 if on_move is not None:
                     on_move(state, i, p, best_q, best_delta)
         rounds += 1
         moves_per_round.append(moves)
-        ops_per_round.append(ops.n)
+        ops_per_round.append(ops)
         trace.append(total_cost(state, ds))
         if moves == 0:
             break
@@ -351,7 +335,7 @@ def assign_cluster(model: CacModel, x: np.ndarray) -> int:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.centroids.shape[1],):
         raise DimensionMismatch(f"point shape {x.shape} vs centroid dim {model.centroids.shape[1]}")
-    return nearest_index(model.centroids, x)
+    return int(nearest_centroids(x[None, :], model.centroids)[0])
 
 
 def cac_predict(model: CacModel, x: np.ndarray) -> tuple[int, float]:
@@ -368,15 +352,11 @@ def cac_predict_batch(model: CacModel, features: np.ndarray) -> tuple[np.ndarray
     if not model.classifiers:
         raise UntrainedModel("model has no per-cluster classifiers")
     x = np.asarray(features, dtype=np.float64)
-    if x.shape[1] != model.centroids.shape[1]:
-        raise DimensionMismatch(f"data dim {x.shape[1]} vs centroid dim {model.centroids.shape[1]}")
-    d2 = ((x[:, None, :] - model.centroids[None, :, :]) ** 2).sum(axis=2)
-    routes = d2.argmin(axis=1)
+    routes = nearest_centroids(x, model.centroids)
     scores = np.empty(x.shape[0])
-    for j in range(model.k):
+    for j in np.unique(routes):
         rows = routes == j
-        if rows.any():
-            scores[rows] = _clf.predict_proba_batch(model.classifiers[j], x[rows])
+        scores[rows] = _clf.predict_proba_batch(model.classifiers[j], x[rows])
     labels = (scores >= 0.5).astype(np.int64)
     return labels, scores
 

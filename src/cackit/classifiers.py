@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics as _metrics
-from .cluster_core import kmeanspp_init, lloyd, silhouette
+from .cluster_core import kmeanspp_init, lloyd, nearest_centroids, silhouette
 from .dataset import LabeledDataset
 from .errors import (
     DimensionMismatch,
@@ -287,13 +287,11 @@ def cluster_then_predict(ds_train: LabeledDataset, ds_test: LabeledDataset, k: i
     state = _TrivialState(km.assignments, np.bincount(km.assignments, minlength=k))
     local = train_per_cluster(state, ds_train, spec)
 
-    d2 = ((ds_test.features[:, None, :] - km.centroids[None, :, :]) ** 2).sum(axis=2)
-    routes = d2.argmin(axis=1)
+    routes = nearest_centroids(ds_test.features, km.centroids)
     scores = np.empty(ds_test.n_samples)
-    for j in range(k):
+    for j in np.unique(routes):
         rows = routes == j
-        if rows.any():
-            scores[rows] = predict_proba_batch(local[j], ds_test.features[rows])
+        scores[rows] = predict_proba_batch(local[j], ds_test.features[rows])
     sil = silhouette(ds_train.features, km.assignments) if k >= 2 else None
     return _metrics.evaluate_binary(scores, ds_test.labels, silhouette=sil)
 

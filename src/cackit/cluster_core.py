@@ -1,4 +1,5 @@
-"""Plain k-means (k-means++ init, Lloyd iteration) and the silhouette score."""
+"""Plain k-means (k-means++ init, Lloyd iteration), nearest-centroid routing
+and the silhouette score."""
 
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ from .errors import DimensionMismatch, KTooLarge, OneCluster
 
 LLOYD_MAX_ITER = 300
 LLOYD_TOL = 1e-6
+# largest (rows, k, d) difference block nearest_centroids builds at once: 8 MB of float64
+ROUTE_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass
@@ -28,10 +31,24 @@ def _sq_dists(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def nearest_index(centroids: np.ndarray, x: np.ndarray) -> int:
-    """Index of the closest centroid; ties break to the lowest index."""
-    diff = centroids - x
-    return int(np.argmin((diff * diff).sum(axis=1)))
+def nearest_centroids(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Index of the closest centroid for each row of x; ties break to the lowest index.
+
+    Distances use the difference form, which stays exact at any feature
+    offset. Rows go in chunks whose (rows, k, d) difference block holds at
+    most ROUTE_BLOCK_ELEMENTS entries, so memory is bounded at any n.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    c = np.asarray(centroids, dtype=np.float64)
+    if x.ndim != 2 or c.ndim != 2 or x.shape[1] != c.shape[1]:
+        raise DimensionMismatch(f"points of shape {x.shape} vs centroids of shape {c.shape}")
+    step = max(1, ROUTE_BLOCK_ELEMENTS // max(1, c.size))
+    routes = np.empty(x.shape[0], dtype=np.int64)
+    for start in range(0, x.shape[0], step):
+        diff = x[start:start + step, None, :] - c[None, :, :]
+        np.multiply(diff, diff, out=diff)
+        routes[start:start + step] = diff.sum(axis=2).argmin(axis=1)
+    return routes
 
 
 def kmeanspp_init(features: np.ndarray, k: int, seed: int = 0) -> np.ndarray:

@@ -8,7 +8,7 @@ import yaml
 
 from .errors import ConfigInvalid
 
-TASKS = ("synth", "fit-cac", "fit-deepcac", "baseline", "sweep", "report")
+TASKS = ("synth", "fit-cac", "fit-deepcac", "baseline", "sweep")
 BASELINES = ("km", "bare", "kmz")
 CLASSIFIER_KINDS = ("logreg", "ridge", "perceptron", "knn")
 WARPS = ("none", "sin")

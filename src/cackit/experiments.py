@@ -82,9 +82,14 @@ def _classifier_spec(cfg: dict) -> classifiers.ClassifierSpec:
 
 
 def select_alpha(train: LabeledDataset, val: LabeledDataset, k: int, grid: list[float],
-                 spec: classifiers.ClassifierSpec, seed: int, max_rounds: int) -> tuple[float, dict]:
-    """Pick the separation weight by validation AUPRC; ties keep the earlier value."""
-    best_alpha, best_score = None, -np.inf
+                 spec: classifiers.ClassifierSpec, seed: int, max_rounds: int
+                 ) -> tuple[float, dict, cac_engine.CacRun, list[classifiers.TrainedClassifier]]:
+    """Pick the separation weight by validation AUPRC; ties keep the earlier value.
+
+    Returns the chosen alpha, the validation AUPRC per grid value, and the
+    chosen alpha's fit and local classifiers.
+    """
+    best, best_score = None, -np.inf
     scores = {}
     for alpha in grid:
         run = cac_engine.cac_fit(train, k, float(alpha), max_rounds=max_rounds, seed=seed)
@@ -94,8 +99,9 @@ def select_alpha(train: LabeledDataset, val: LabeledDataset, k: int, grid: list[
         score = metrics.auprc(val_scores, val.labels)
         scores[repr(float(alpha))] = score
         if score > best_score:
-            best_alpha, best_score = float(alpha), score
-    return best_alpha, scores
+            best, best_score = (float(alpha), run, local), score
+    alpha, run, local = best
+    return alpha, scores, run, local
 
 
 def _logloss_diagnostics(run: cac_engine.CacRun, train: LabeledDataset,
@@ -124,14 +130,14 @@ def run_fit_cac(cfg: dict, run_seed: int) -> tuple[dict, str]:
     spec = _classifier_spec(cfg)
     diagnostics: dict = {}
     if m["alpha"] == "auto":
-        alpha, val_scores = select_alpha(train, val, m["k"], m["alpha_grid"], spec,
-                                         run_seed, m["max_rounds"])
+        alpha, val_scores, run, local = select_alpha(train, val, m["k"], m["alpha_grid"], spec,
+                                                     run_seed, m["max_rounds"])
         diagnostics["alpha_selected"] = alpha
         diagnostics["alpha_val_auprc"] = val_scores
     else:
         alpha = float(m["alpha"])
-    run = cac_engine.cac_fit(train, m["k"], alpha, max_rounds=m["max_rounds"], seed=run_seed)
-    local = classifiers.train_per_cluster(run.state, train, spec)
+        run = cac_engine.cac_fit(train, m["k"], alpha, max_rounds=m["max_rounds"], seed=run_seed)
+        local = classifiers.train_per_cluster(run.state, train, spec)
     model = cac_engine.CacModel(run.state.centroids.copy(), local, alpha, run.cost_trace)
     _, scores = cac_engine.cac_predict_batch(model, test.features)
 
@@ -148,6 +154,14 @@ def run_fit_cac(cfg: dict, run_seed: int) -> tuple[dict, str]:
     report = metrics.evaluate_binary(scores, test.labels, silhouette=sil_final)
     return (_report_dict(cfg, run_seed, f"cac+{spec.kind}", report, diagnostics),
             cac_engine.cac_model_to_json(model))
+
+
+def _shared_deepcac_args(cfg: dict) -> dict:
+    """The `model.deepcac` hyperparameters that deepcac_fit and kmz_fit both take."""
+    dc = cfg["model"]["deepcac"]
+    return {key: dc[key] for key in ("lr", "hidden", "latent", "local_hidden", "batch_size",
+                                     "pretrain_epochs", "local_epochs", "local_lr", "patience",
+                                     "scale", "margin")}
 
 
 def run_baseline(cfg: dict, run_seed: int) -> tuple[dict, str | None]:
@@ -167,13 +181,7 @@ def run_baseline(cfg: dict, run_seed: int) -> tuple[dict, str | None]:
         report = metrics.evaluate_binary(scores, test.labels)
         return _report_dict(cfg, run_seed, spec.kind, report, {}), None
     # kmz
-    dc = m["deepcac"]
-    model = neural.kmz_fit(train, val, m["k"], lr=dc["lr"], seed=run_seed,
-                           hidden=dc["hidden"], latent=dc["latent"],
-                           local_hidden=dc["local_hidden"], batch_size=dc["batch_size"],
-                           pretrain_epochs=dc["pretrain_epochs"], local_epochs=dc["local_epochs"],
-                           local_lr=dc["local_lr"], patience=dc["patience"],
-                           scale=dc["scale"], margin=dc["margin"])
+    model = neural.kmz_fit(train, val, m["k"], seed=run_seed, **_shared_deepcac_args(cfg))
     report, diagnostics = _evaluate_neural(model, test)
     return (_report_dict(cfg, run_seed, "kmz", report, diagnostics),
             neural.deepcac_model_to_json(model))
@@ -194,12 +202,8 @@ def run_fit_deepcac(cfg: dict, run_seed: int) -> tuple[dict, str]:
     m = cfg["model"]
     dc = m["deepcac"]
     model = neural.deepcac_fit(train, val, m["k"], alpha=dc["alpha"], beta=dc["beta"],
-                               delta=dc["delta"], epochs=dc["epochs"], lr=dc["lr"],
-                               seed=run_seed, hidden=dc["hidden"], latent=dc["latent"],
-                               local_hidden=dc["local_hidden"], batch_size=dc["batch_size"],
-                               pretrain_epochs=dc["pretrain_epochs"],
-                               local_epochs=dc["local_epochs"], local_lr=dc["local_lr"],
-                               patience=dc["patience"], scale=dc["scale"], margin=dc["margin"])
+                               delta=dc["delta"], epochs=dc["epochs"], seed=run_seed,
+                               **_shared_deepcac_args(cfg))
     report, diagnostics = _evaluate_neural(model, test)
     return (_report_dict(cfg, run_seed, "deepcac", report, diagnostics),
             neural.deepcac_model_to_json(model))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics as _metrics
-from .cluster_core import kmeanspp_init, lloyd, nearest_index
+from .cluster_core import kmeanspp_init, lloyd, nearest_centroids
 from .dataset import LabeledDataset
 from .errors import OneClassOnly, ShapeMismatch, UntrainedModel
 
@@ -63,8 +63,8 @@ def init_dense(sizes: list[int], rng: np.random.Generator) -> DenseNet:
 def net_forward(net: DenseNet, x: np.ndarray) -> tuple[np.ndarray, list]:
     """Forward pass returning the output and per-layer caches for backprop."""
     h = np.asarray(x, dtype=np.float64)
-    if h.shape[1] != net.weights[0].shape[0]:
-        raise ShapeMismatch(f"input dim {h.shape[1]} vs layer dim {net.weights[0].shape[0]}")
+    if h.ndim != 2 or h.shape[1] != net.weights[0].shape[0]:
+        raise ShapeMismatch(f"input shape {h.shape} vs layer dim {net.weights[0].shape[0]}")
     caches = []
     last = len(net.weights) - 1
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -364,10 +364,7 @@ def init_latent_clusters(params: NetParams, ds: LabeledDataset, k: int,
 def update_assignments(state: LatentClusterState, z_batch: np.ndarray,
                        indices: np.ndarray) -> LatentClusterState:
     """Reassign the batch points to their nearest centroid (lowest index on ties)."""
-    z = np.asarray(z_batch, dtype=np.float64)
-    c = state.centroids
-    d2 = (z * z).sum(axis=1)[:, None] - 2.0 * (z @ c.T) + (c * c).sum(axis=1)
-    state.assignments[np.asarray(indices)] = d2.argmin(axis=1)
+    state.assignments[np.asarray(indices)] = nearest_centroids(z_batch, state.centroids)
     return state
 
 
@@ -414,18 +411,12 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _route(centroids: np.ndarray, z: np.ndarray) -> np.ndarray:
-    d2 = (z * z).sum(axis=1)[:, None] - 2.0 * (z @ centroids.T) + (centroids * centroids).sum(axis=1)
-    return d2.argmin(axis=1)
-
-
 def _local_proba(local_nets: list[DenseNet], z: np.ndarray, routes: np.ndarray,
                  n_classes: int) -> np.ndarray:
     probs = np.empty((z.shape[0], n_classes))
-    for j, net in enumerate(local_nets):
+    for j in np.unique(routes):
         rows = routes == j
-        if rows.any():
-            probs[rows] = _softmax(net_forward(net, z[rows])[0])
+        probs[rows] = _softmax(net_forward(local_nets[j], z[rows])[0])
     return probs
 
 
@@ -452,17 +443,17 @@ def _train_local_nets(encoder: DenseNet, centroids: np.ndarray, ds_train: Labele
     with the pruned centroids and the validation trace.
     """
     z_train = net_forward(encoder, ds_train.features)[0]
-    routes = _route(centroids, z_train)
+    routes = nearest_centroids(z_train, centroids)
     keep = [j for j in range(centroids.shape[0]) if (routes == j).any()]
     centroids = centroids[keep]
-    routes = _route(centroids, z_train)
+    routes = nearest_centroids(z_train, centroids)
 
     latent = centroids.shape[1]
     nets = [init_dense([latent, hidden, n_classes], rng) for _ in range(centroids.shape[0])]
     cluster_rows = [np.flatnonzero(routes == j) for j in range(centroids.shape[0])]
 
     z_val = net_forward(encoder, ds_val.features)[0]
-    val_routes = _route(centroids, z_val)
+    val_routes = nearest_centroids(z_val, centroids)
 
     def val_score() -> float:
         probs = _local_proba(nets, z_val, val_routes, n_classes)
@@ -582,7 +573,7 @@ def deepcac_predict_batch(model: DeepCacModel, features: np.ndarray) -> tuple[np
         raise UntrainedModel("model has no trained local networks")
     x = np.asarray(features, dtype=np.float64)
     z = net_forward(model.encoder, x)[0]
-    routes = _route(model.centroids, z)
+    routes = nearest_centroids(z, model.centroids)
     probs = _local_proba(model.local_nets, z, routes, model.n_classes)
     if model.n_classes == 2:
         labels = (probs[:, 1] >= 0.5).astype(np.int64)

@@ -5,13 +5,14 @@ Every closed-form quantity is checked against the from-scratch oracles in
 conftest, which recompute cluster scores directly from member rows.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from cackit.cac_engine import (
     CacModel,
     ClusterState,
-    OpCount,
     apply_move,
     assign_cluster,
     cac_fit,
@@ -19,6 +20,7 @@ from cackit.cac_engine import (
     cac_model_to_json,
     cac_predict,
     cac_predict_batch,
+    can_remove,
     cluster_cost,
     merge_cost_change,
     move_cost_change,
@@ -370,9 +372,43 @@ class TestCacFit:
             cac_fit(one_class, 2, 0.5)
 
     def test_op_counter_tracks_vector_lengths(self):
+        # at a fixed point nothing moves, so the one round scores every point
+        # that passes the class guard against all k clusters, d entries each
         ds = self.make_ds(seed=6, n=100)
-        run = cac_fit(ds, 2, 0.0, max_rounds=1, seed=6)
-        assert run.ops_per_round[0] > 0
+        run = cac_fit(ds, 3, 0.5, seed=6)
+        again = cac_fit(ds, 3, 0.5, init_assignments=run.state.assignments)
+        guarded_in = sum(can_remove(again.state, ds, int(p), i)
+                         for i, p in enumerate(again.state.assignments))
+        assert again.moves_per_round == [0]
+        assert again.ops_per_round == [guarded_in * 3 * ds.n_features]
+
+
+# (n, d, k, alpha, seed), moves_per_round, sha256 of the final assignments as
+# little-endian int64: recorded before any rewrite of the descent, which must
+# reproduce them exactly
+GOLDEN_TRAJECTORIES = [
+    ((400, 4, 2, 0.5, 0), [14, 12, 8, 3, 2, 5, 2, 0],
+     "482c32c8dd6f14d9d2dd90ef4b5c180fe9ef0f9aacc9b4aefa2dedd69a33e312"),
+    ((600, 10, 4, 3.0, 1), [480, 153, 44, 12, 5, 0],
+     "fb06a7c130879f35744eca2a01a51a27257b8672666ad7fb4cf8068169382f33"),
+    ((500, 8, 3, 0.0, 2), [6, 2, 0],
+     "0a3d0f2d6cea32149c10f8f11b488ba19ef6b1025c9eaf1c1f320ba05a551035"),
+    ((600, 64, 16, 0.5, 3), [545, 450, 236, 97, 53, 41, 26, 19, 6, 5, 2, 1, 0],
+     "be620909e5237d4566763995fc5feaedfb4fb03df0fc3c54c7c35b0ffac05a42"),
+]
+
+
+class TestGoldenTrajectory:
+    @pytest.mark.parametrize("case,moves,digest", GOLDEN_TRAJECTORIES,
+                             ids=["n{}-d{}-k{}-a{}-s{}".format(*c) for c, _, _ in GOLDEN_TRAJECTORIES])
+    def test_fit_reproduces_recorded_trajectory(self, case, moves, digest):
+        n, d, k, alpha, seed = case
+        ds = make_classification(SyntheticSpec(n_samples=n, n_features=d, n_clusters=2,
+                                               ics=1.0, ocs=2.0, seed=seed))
+        run = cac_fit(ds, k, alpha, seed=seed)
+        assert run.moves_per_round == moves
+        final = np.ascontiguousarray(run.state.assignments, dtype="<i8").tobytes()
+        assert hashlib.sha256(final).hexdigest() == digest
 
 
 class TestPrediction:

@@ -142,6 +142,27 @@ class TestFitAndBaselines:
         assert (out / "runs" / "default" / "3" / "report.json").exists()
         assert (out / "runs" / "default" / "4" / "report.json").exists()
 
+    def test_auto_alpha_reports_the_fit_at_the_selected_alpha(self, tmp_path):
+        auto = write_config(tmp_path / "auto.yaml", **{"model.alpha": "auto",
+                                                       "model.alpha_grid": [0.01, 3.0],
+                                                       "seeds": [0, 1]})
+        assert main(["fit-cac", "--config", str(auto), "--out", str(tmp_path / "auto")]) == 0
+        for seed in (0, 1):
+            run_dir = Path("runs") / "default" / str(seed)
+            want = json.loads((tmp_path / "auto" / run_dir / "report.json").read_text())
+            alpha = want["diagnostics"]["alpha_selected"]
+            fixed = write_config(tmp_path / f"fixed{seed}.yaml",
+                                 **{"model.alpha": alpha, "seeds": [seed]})
+            out = tmp_path / f"fixed{seed}"
+            assert main(["fit-cac", "--config", str(fixed), "--out", str(out)]) == 0
+            got = json.loads((out / run_dir / "report.json").read_text())
+            assert got["metrics"] == want["metrics"]
+            for key in ("cost_trace", "rounds", "moves_per_round", "silhouette_init",
+                        "silhouette_final", "logloss_bounds"):
+                assert got["diagnostics"][key] == want["diagnostics"][key], key
+            model = Path("models") / f"model_s{seed}.json"
+            assert (out / model).read_text() == (tmp_path / "auto" / model).read_text()
+
     def test_baseline_kmz_with_overrides(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", **{"model.baseline": "kmz"})
         out = tmp_path / "out"

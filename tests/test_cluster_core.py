@@ -1,9 +1,10 @@
-"""k-means++ seeding, Lloyd iteration and the silhouette score."""
+"""k-means++ seeding, Lloyd iteration, nearest-centroid routing and the silhouette score."""
 
 import numpy as np
 import pytest
 
-from cackit.cluster_core import kmeanspp_init, lloyd, nearest_index, silhouette
+from cackit import cluster_core
+from cackit.cluster_core import kmeanspp_init, lloyd, nearest_centroids, silhouette
 from cackit.errors import DimensionMismatch, KTooLarge, OneCluster
 
 
@@ -90,11 +91,33 @@ class TestLloyd:
 class TestNearestIndex:
     def test_picks_closest(self):
         cents = np.array([[0.0, 0.0], [10.0, 0.0]])
-        assert nearest_index(cents, np.array([9.0, 0.0])) == 1
+        np.testing.assert_array_equal(nearest_centroids(np.array([[9.0, 0.0], [10.0, 0.0]]), cents),
+                                      [1, 1])
 
     def test_tie_goes_to_lowest_index(self):
         cents = np.array([[-1.0, 0.0], [1.0, 0.0]])
-        assert nearest_index(cents, np.array([0.0, 0.0])) == 0
+        assert nearest_centroids(np.array([[0.0, 0.0]]), cents)[0] == 0
+
+    def test_chunked_routes_match_one_block(self):
+        rng = np.random.default_rng(12)
+        k, d = 64, 512
+        step = cluster_core.ROUTE_BLOCK_ELEMENTS // (k * d)
+        cents = rng.integers(-50, 50, size=(k, d)).astype(np.float64)
+        cents[5] = cents[3]
+        cents[5, 0] += 2.0
+        x = rng.integers(-50, 50, size=(3 * step + 7, d)).astype(np.float64)
+        # exact ties between clusters 3 and 5 on both sides of the first boundary
+        x[step - 1] = x[step] = (cents[3] + cents[5]) / 2.0
+        want = ((x[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+        got = nearest_centroids(x, cents)
+        assert want[step - 1] == want[step] == 3
+        np.testing.assert_array_equal(got, want)
+
+    def test_shape_mismatch_rejected(self):
+        cents = np.zeros((3, 4))
+        for x in (np.zeros(4), np.zeros((2, 5))):
+            with pytest.raises(DimensionMismatch):
+                nearest_centroids(x, cents)
 
 
 class TestSilhouette:

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from cackit.dataset import LabeledDataset, SplitSpec, SyntheticSpec, make_classification, split
-from cackit.cluster_core import kmeanspp_init, lloyd
-from cackit.errors import OneClassOnly, ShapeMismatch, UntrainedModel
+from cackit.cac_engine import CacModel, cac_predict_batch
+from cackit.classifiers import constant_classifier
+from cackit.cluster_core import kmeanspp_init, lloyd, nearest_centroids
+from cackit.errors import DimensionMismatch, OneClassOnly, ShapeMismatch, UntrainedModel
 from cackit.neural import (
     AmsHead,
     DeepCacModel,
@@ -459,8 +461,7 @@ class TestPredict:
     def test_routing_matches_brute_force(self):
         model, train, _ = small_fit(seed=6, k=3, epochs=2)
         z = net_forward(model.encoder, train.features)[0]
-        from cackit.neural import _route
-        routes = _route(model.centroids, z)
+        routes = nearest_centroids(z, model.centroids)
         for i in range(0, train.n_samples, 7):
             want = int(np.argmin(((model.centroids - z[i]) ** 2).sum(axis=1)))
             assert routes[i] == want
@@ -472,6 +473,15 @@ class TestPredict:
             lab, p = deepcac_predict(model, train.features[i])
             assert lab == labels[i]
             np.testing.assert_allclose(p, probs[i], rtol=1e-12, atol=1e-15)
+
+    def test_one_dimensional_batch_rejected(self):
+        deep, train, _ = small_fit(seed=10, epochs=1)
+        d = train.n_features
+        cac = CacModel(np.zeros((2, d)), [constant_classifier(0)] * 2, 0.5, [0.0])
+        with pytest.raises(DimensionMismatch):
+            cac_predict_batch(cac, np.zeros(d))
+        with pytest.raises(ShapeMismatch):
+            deepcac_predict_batch(deep, np.zeros(d))
 
     def test_untrained_model_rejected(self):
         model, _, _ = small_fit(seed=8, epochs=2)
