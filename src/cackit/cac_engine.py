@@ -3,10 +3,11 @@
 Each cluster is scored by its within-cluster SSE minus ``alpha * size *
 ||mu_pos - mu_neg||^2``, where mu_pos/mu_neg are the centroids of the
 positive- and negative-labelled members. Points are swept in index order
-and moved to whichever cluster lowers the total score the most, using
-closed-form O(d) deltas; moves that would empty a cluster or strip it of
-one class are never considered. Clusters holding a single class score a
-separation term of zero until they gain the missing class.
+and moved to whichever cluster lowers the total score the most, scoring
+all k clusters at once with one signed closed form; moves that would
+empty a cluster or strip it of one class are never considered. Clusters
+holding a single class score a separation term of zero until they gain
+the missing class.
 """
 
 from __future__ import annotations
@@ -106,38 +107,46 @@ def total_cost(state: ClusterState, ds: LabeledDataset) -> float:
     return float(sum(cluster_cost(state, ds, j) for j in range(state.k) if state.sizes[j] > 0))
 
 
+def _score_changes(state: ClusterState, ds: LabeledDataset, i: int) -> np.ndarray:
+    """Change in every cluster's score if point i left its own cluster p or
+    joined any other, as one signed closed form over all k clusters in O(k*d).
+
+    With s = -1 at p and +1 elsewhere, a cluster of n members and centroid
+    mu changes its SSE by s*n/(n+s)*||x - mu||^2, and i's class centroid
+    becomes (c*own + s*x)/(c + s). Denominators are clamped at 1: the entry
+    at p is only meaningful when `can_remove` holds, and an empty cluster
+    scores 0.
+    """
+    x = ds.features[i]
+    n = state.sizes
+    s = np.ones(state.k)
+    s[state.assignments[i]] = -1.0
+    grown = n + s
+    diff = state.centroids - x
+    delta_sse = s * n / np.maximum(grown, 1.0) * np.einsum("kd,kd->k", diff, diff)
+
+    pos, neg = state.pos_counts, state.neg_counts
+    if ds.labels[i] == 1:
+        own_count, own, other_count, other = pos, state.pos_centroids, neg, state.neg_centroids
+    else:
+        own_count, own, other_count, other = neg, state.neg_centroids, pos, state.pos_centroids
+    own_new = (own_count[:, None] * own + s[:, None] * x) / np.maximum(own_count + s, 1.0)[:, None]
+    gap_old = state.pos_centroids - state.neg_centroids
+    sep_old = np.where((pos > 0) & (neg > 0), np.einsum("kd,kd->k", gap_old, gap_old), 0.0)
+    gap_new = own_new - other
+    sep_new = np.where(other_count > 0, np.einsum("kd,kd->k", gap_new, gap_new), 0.0)
+    return delta_sse + state.alpha * (n * sep_old - grown * sep_new)
+
+
 def merge_cost_change(state: ClusterState, ds: LabeledDataset, j: int, i: int) -> float:
-    """Change in cluster j's score if point i joined it, in O(d).
+    """Change in cluster j's score if point i joined it, in O(k*d).
 
     Merging into an empty cluster scores 0 (a singleton has zero SSE and
     no separation term).
     """
     if state.assignments[i] == j:
         raise PointAlreadyInCluster(f"point {i} is already in cluster {j}")
-    x = ds.features[i]
-    n = int(state.sizes[j])
-    if n == 0:
-        return 0.0
-    mu = state.centroids[j]
-    mu_new = (n * mu + x) / (n + 1.0)
-    d_x = mu_new - x
-    d_mu = mu_new - mu
-    delta_sse = float(d_x @ d_x) + n * float(d_mu @ d_mu)
-
-    sep_old = state.separation_sq(j)
-    if ds.labels[i] == 1:
-        own_count, own = int(state.pos_counts[j]), state.pos_centroids[j]
-        other_count, other = int(state.neg_counts[j]), state.neg_centroids[j]
-    else:
-        own_count, own = int(state.neg_counts[j]), state.neg_centroids[j]
-        other_count, other = int(state.pos_counts[j]), state.pos_centroids[j]
-    own_new = (own_count * own + x) / (own_count + 1.0)
-    if other_count > 0:
-        gap = own_new - other
-        sep_new = float(gap @ gap)
-    else:
-        sep_new = 0.0
-    return delta_sse + state.alpha * (n * sep_old - (n + 1.0) * sep_new)
+    return float(_score_changes(state, ds, i)[j])
 
 
 def can_remove(state: ClusterState, ds: LabeledDataset, p: int, i: int) -> bool:
@@ -150,35 +159,17 @@ def can_remove(state: ClusterState, ds: LabeledDataset, p: int, i: int) -> bool:
 
 
 def removal_cost_change(state: ClusterState, ds: LabeledDataset, p: int, i: int) -> float:
-    """Change in cluster p's score if point i left it, in O(d).
+    """Change in cluster p's score if point i left it, in O(k*d).
 
     Refuses removals that would empty the cluster or leave it one-class.
     """
     if state.assignments[i] != p:
         raise IllegalMove(f"point {i} is not in cluster {p}")
-    n = int(state.sizes[p])
-    if n <= 1:
+    if state.sizes[p] <= 1:
         raise WouldEmptyCluster(f"cluster {p} has a single member")
     if not can_remove(state, ds, p, i):
         raise WouldCreateOneClassCluster(f"removing point {i} would leave cluster {p} one-class")
-    x = ds.features[i]
-    mu = state.centroids[p]
-    mu_new = (n * mu - x) / (n - 1.0)
-    d_x = mu - x
-    d_mu = mu_new - mu
-    delta_sse = -float(d_x @ d_x) - (n - 1.0) * float(d_mu @ d_mu)
-
-    sep_old = state.separation_sq(p)
-    if ds.labels[i] == 1:
-        own_count, own = int(state.pos_counts[p]), state.pos_centroids[p]
-        other = state.neg_centroids[p]
-    else:
-        own_count, own = int(state.neg_counts[p]), state.neg_centroids[p]
-        other = state.pos_centroids[p]
-    own_new = (own_count * own - x) / (own_count - 1.0)
-    gap = own_new - other
-    sep_new = float(gap @ gap)
-    return delta_sse + state.alpha * (n * sep_old - (n - 1.0) * sep_new)
+    return float(_score_changes(state, ds, i)[p])
 
 
 def move_cost_change(state: ClusterState, ds: LabeledDataset, i: int, p: int, q: int) -> float:
@@ -197,31 +188,15 @@ def apply_move(state: ClusterState, ds: LabeledDataset, i: int, p: int, q: int) 
     if not can_remove(state, ds, p, i):
         raise IllegalMove(f"removing point {i} would break cluster {p}'s class guard")
     x = ds.features[i]
-    positive = ds.labels[i] == 1
-
-    n_p = float(state.sizes[p])
-    state.centroids[p] = (n_p * state.centroids[p] - x) / (n_p - 1.0)
-    if positive:
-        c = float(state.pos_counts[p])
-        state.pos_centroids[p] = (c * state.pos_centroids[p] - x) / (c - 1.0)
-        state.pos_counts[p] -= 1
+    if ds.labels[i] == 1:
+        own = (state.pos_counts, state.pos_centroids)
     else:
-        c = float(state.neg_counts[p])
-        state.neg_centroids[p] = (c * state.neg_centroids[p] - x) / (c - 1.0)
-        state.neg_counts[p] -= 1
-    state.sizes[p] -= 1
-
-    n_q = float(state.sizes[q])
-    state.centroids[q] = (n_q * state.centroids[q] + x) / (n_q + 1.0)
-    if positive:
-        c = float(state.pos_counts[q])
-        state.pos_centroids[q] = (c * state.pos_centroids[q] + x) / (c + 1.0)
-        state.pos_counts[q] += 1
-    else:
-        c = float(state.neg_counts[q])
-        state.neg_centroids[q] = (c * state.neg_centroids[q] + x) / (c + 1.0)
-        state.neg_counts[q] += 1
-    state.sizes[q] += 1
+        own = (state.neg_counts, state.neg_centroids)
+    for j, s in ((p, -1), (q, 1)):
+        for counts, cents in ((state.sizes, state.centroids), own):
+            c = float(counts[j])
+            cents[j] = (c * cents[j] + s * x) / (c + s)
+            counts[j] += s
     state.assignments[i] = q
     return state
 
@@ -290,21 +265,16 @@ def cac_fit(ds: LabeledDataset, k: int, alpha: float, max_rounds: int = DEFAULT_
             if not can_remove(state, ds, p, i):
                 continue
             ops += k * d
-            removal = removal_cost_change(state, ds, p, i)
-            best_q = -1
-            best_delta = np.inf
-            for q in range(k):
-                if q == p:
-                    continue
-                delta = removal + merge_cost_change(state, ds, q, i)
-                if delta < best_delta:
-                    best_delta = delta
-                    best_q = q
-            if best_delta < -MOVE_TOL:
-                apply_move(state, ds, i, p, best_q)
+            # moving to q changes the total by the merge at q plus the removal at p
+            deltas = _score_changes(state, ds, i)
+            deltas += deltas[p]
+            deltas[p] = np.inf
+            q = int(np.argmin(deltas))
+            if deltas[q] < -MOVE_TOL:
+                apply_move(state, ds, i, p, q)
                 moves += 1
                 if on_move is not None:
-                    on_move(state, i, p, best_q, best_delta)
+                    on_move(state, i, p, q, float(deltas[q]))
         rounds += 1
         moves_per_round.append(moves)
         ops_per_round.append(ops)

@@ -248,8 +248,11 @@ def train_per_cluster(state, ds: LabeledDataset, spec: ClassifierSpec) -> list[T
     Single-class clusters get a constant classifier; empty clusters are an
     error (the fit never produces them).
     """
-    assign = np.asarray(state.assignments)
-    k = len(state.sizes)
+    return _train_clusters(np.asarray(state.assignments), len(state.sizes), ds, spec)
+
+
+def _train_clusters(assign: np.ndarray, k: int, ds: LabeledDataset,
+                    spec: ClassifierSpec) -> list[TrainedClassifier]:
     out = []
     for j in range(k):
         rows = assign == j
@@ -261,14 +264,6 @@ def train_per_cluster(state, ds: LabeledDataset, spec: ClassifierSpec) -> list[T
         else:
             out.append(train_classifier(ds.features[rows], yj, spec))
     return out
-
-
-@dataclass
-class _TrivialState:
-    """Just enough of a cluster state for train_per_cluster."""
-
-    assignments: np.ndarray
-    sizes: np.ndarray
 
 
 def cluster_then_predict(ds_train: LabeledDataset, ds_test: LabeledDataset, k: int,
@@ -284,8 +279,7 @@ def cluster_then_predict(ds_train: LabeledDataset, ds_test: LabeledDataset, k: i
     if k > ds_train.n_samples:
         raise TooFewRows(f"k={k} exceeds training rows {ds_train.n_samples}")
     km = lloyd(ds_train.features, kmeanspp_init(ds_train.features, k, seed))
-    state = _TrivialState(km.assignments, np.bincount(km.assignments, minlength=k))
-    local = train_per_cluster(state, ds_train, spec)
+    local = _train_clusters(km.assignments, k, ds_train, spec)
 
     routes = nearest_centroids(ds_test.features, km.centroids)
     scores = np.empty(ds_test.n_samples)

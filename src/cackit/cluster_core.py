@@ -11,7 +11,8 @@ from .errors import DimensionMismatch, KTooLarge, OneCluster
 
 LLOYD_MAX_ITER = 300
 LLOYD_TOL = 1e-6
-# largest (rows, k, d) difference block nearest_centroids builds at once: 8 MB of float64
+# largest block nearest_centroids (rows, k, d differences) or silhouette (rows, n
+# distances) builds at once: 8 MB of float64
 ROUTE_BLOCK_ELEMENTS = 1 << 20
 
 
@@ -27,8 +28,11 @@ class KmeansResult:
 
 def _sq_dists(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Squared euclidean distances, shape (len(x), len(c)), clipped at 0."""
-    d2 = (x * x).sum(axis=1)[:, None] - 2.0 * (x @ c.T) + (c * c).sum(axis=1)
-    return np.maximum(d2, 0.0)
+    d2 = x @ c.T
+    d2 *= -2.0
+    d2 += (x * x).sum(axis=1)[:, None]
+    d2 += (c * c).sum(axis=1)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def nearest_centroids(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -146,23 +150,23 @@ def silhouette(features: np.ndarray, assignments: np.ndarray) -> float:
     x = np.asarray(features, dtype=np.float64)
     assign = np.asarray(assignments, dtype=np.int64)
     n = x.shape[0]
-    present = np.unique(assign)
+    present, own_col, sizes = np.unique(assign, return_inverse=True, return_counts=True)
     if present.size < 2:
         raise OneCluster("silhouette needs at least two non-empty clusters")
-    dist = np.sqrt(_sq_dists(x, x))
-    scores = np.zeros(n)
-    sizes = {int(j): int((assign == j).sum()) for j in present}
-    # mean distance from every point to every cluster
+    members = [assign == j for j in present]
+    step = max(1, ROUTE_BLOCK_ELEMENTS // n)
+    # mean distance from every point to every cluster, one block of rows at a time
     cluster_mean = np.empty((n, present.size))
-    for col, j in enumerate(present):
-        cluster_mean[:, col] = dist[:, assign == j].mean(axis=1)
-    for i in range(n):
-        own_col = int(np.searchsorted(present, assign[i]))
-        m = sizes[int(assign[i])]
-        if m == 1:
-            continue
-        a = cluster_mean[i, own_col] * m / (m - 1)  # exclude the zero self-distance
-        b = np.min(np.delete(cluster_mean[i], own_col))
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    for start in range(0, n, step):
+        dist = _sq_dists(x[start:start + step], x)
+        np.sqrt(dist, out=dist)
+        for col, rows in enumerate(members):
+            cluster_mean[start:start + step, col] = dist[:, rows].mean(axis=1)
+    m = sizes[own_col]
+    at_own = (np.arange(n), own_col)
+    a = cluster_mean[at_own] * m / np.maximum(m - 1, 1)  # exclude the zero self-distance
+    cluster_mean[at_own] = np.inf
+    b = cluster_mean.min(axis=1)
+    denom = np.maximum(a, b)
+    scores = np.where(m == 1, 0.0, (b - a) / np.where(denom == 0.0, 1.0, denom))
     return float(scores.mean())

@@ -107,6 +107,15 @@ class ShapeMismatch(CackitError):
     """Inputs disagree with the network or head dimensions."""
 
 
+class TrainingDiverged(CackitError):
+    """A training loss became non-finite."""
+
+    def __init__(self, stage: str, epoch: int):
+        self.stage = stage
+        self.epoch = epoch
+        super().__init__(f"{stage} loss is non-finite at epoch {epoch}")
+
+
 # --- configuration ---
 
 class ConfigInvalid(CackitError):

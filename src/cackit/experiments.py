@@ -91,8 +91,11 @@ def select_alpha(train: LabeledDataset, val: LabeledDataset, k: int, grid: list[
     """
     best, best_score = None, -np.inf
     scores = {}
+    init = None  # every alpha starts from the first fit's k-means clustering
     for alpha in grid:
-        run = cac_engine.cac_fit(train, k, float(alpha), max_rounds=max_rounds, seed=seed)
+        run = cac_engine.cac_fit(train, k, float(alpha), max_rounds=max_rounds, seed=seed,
+                                 init_assignments=init)
+        init = run.init_assignments
         local = classifiers.train_per_cluster(run.state, train, spec)
         model = cac_engine.CacModel(run.state.centroids.copy(), local, float(alpha), run.cost_trace)
         _, val_scores = cac_engine.cac_predict_batch(model, val.features)

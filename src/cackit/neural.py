@@ -25,7 +25,7 @@ import numpy as np
 from . import metrics as _metrics
 from .cluster_core import kmeanspp_init, lloyd, nearest_centroids
 from .dataset import LabeledDataset
-from .errors import OneClassOnly, ShapeMismatch, UntrainedModel
+from .errors import OneClassOnly, ShapeMismatch, TrainingDiverged, UntrainedModel
 
 NORM_FLOOR = 1e-12  # guards L2 normalization of near-zero vectors
 
@@ -320,13 +320,14 @@ def pretrain(ds: LabeledDataset, params: NetParams, epochs: int, lr: float,
 
     Updates are scaled by 1/batch so the learning rate is batch-size
     agnostic. Returns a trained copy of the parameters and the mean
-    per-point reconstruction loss per epoch.
+    per-point reconstruction loss per epoch; raises TrainingDiverged at
+    the first epoch whose loss is non-finite.
     """
     params = params.copy()
     rng = np.random.default_rng(seed)
     x = ds.features
     history = []
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         epoch_loss = 0.0
         for idx in _batches(ds.n_samples, batch_size, rng):
             xb = x[idx]
@@ -339,6 +340,8 @@ def pretrain(ds: LabeledDataset, params: NetParams, epochs: int, lr: float,
             enc_grads, _ = net_backward(params.encoder, enc_caches, dz)
             _sgd_step(params.decoder, dec_grads, lr * scale)
             _sgd_step(params.encoder, enc_grads, lr * scale)
+        if not math.isfinite(epoch_loss):
+            raise TrainingDiverged("pretrain", epoch)
         history.append(epoch_loss / ds.n_samples)
     return params, history
 
@@ -504,7 +507,8 @@ def deepcac_fit(ds_train: LabeledDataset, ds_val: LabeledDataset, k: int,
     parameter step the batch is re-embedded, reassigned to the nearest
     centroid, and the centroids take streaming updates. Stage 3 freezes the
     encoder, prunes empty clusters and trains one softmax net per cluster
-    with early stopping on validation AUPRC.
+    with early stopping on validation AUPRC. A non-finite epoch loss in
+    stage 1 or 2 raises TrainingDiverged naming the stage and epoch.
     """
     sub = np.random.SeedSequence(seed).generate_state(5)
     params = init_params(ds_train.n_features, hidden, latent, seed=int(sub[0]))
@@ -521,7 +525,7 @@ def deepcac_fit(ds_train: LabeledDataset, ds_val: LabeledDataset, k: int,
     rng = np.random.default_rng(int(sub[3]))
     x = ds_train.features
     stage2_loss = []
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         epoch_total = 0.0
         for idx in _batches(ds_train.n_samples, batch_size, rng):
             parts, grads = forward_backward(params, head, x[idx], ds_train.labels[idx],
@@ -535,6 +539,8 @@ def deepcac_fit(ds_train: LabeledDataset, ds_val: LabeledDataset, k: int,
             zb = encode(params, x[idx])
             update_assignments(state, zb, idx)
             update_centroids_online(state, zb, idx)
+        if not math.isfinite(epoch_total):
+            raise TrainingDiverged("stage-2", epoch)
         stage2_loss.append(epoch_total)
     history["stage2_loss"] = stage2_loss
 

@@ -395,6 +395,8 @@ GOLDEN_TRAJECTORIES = [
      "0a3d0f2d6cea32149c10f8f11b488ba19ef6b1025c9eaf1c1f320ba05a551035"),
     ((600, 64, 16, 0.5, 3), [545, 450, 236, 97, 53, 41, 26, 19, 6, 5, 2, 1, 0],
      "be620909e5237d4566763995fc5feaedfb4fb03df0fc3c54c7c35b0ffac05a42"),
+    ((800, 64, 16, 3.0, 4), [751, 591, 436, 33, 22, 9, 3, 4, 8, 3, 5, 1, 0],
+     "28a156a3b7ad557e5783df84f71843acd6776c72544594c8112d0be20998c9d0"),
 ]
 
 

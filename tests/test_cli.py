@@ -8,6 +8,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -122,6 +123,14 @@ class TestConfigValidation:
         cfg = write_config(tmp_path / "c.yaml", **{"model.k": 500})
         assert main(["fit-cac", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 3
+
+    def test_diverging_deepcac_is_exit_code_three(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["fit-deepcac", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                         "--set", "model.deepcac.lr=5.0"])
+        assert code == 3
+        assert "pretrain loss is non-finite at epoch" in capsys.readouterr().err
 
 
 class TestFitAndBaselines:

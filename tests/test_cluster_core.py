@@ -151,3 +151,42 @@ class TestSilhouette:
     def test_one_cluster_rejected(self):
         with pytest.raises(OneCluster):
             silhouette(np.zeros((4, 2)), np.zeros(4, dtype=int))
+
+    @pytest.mark.parametrize("rows_per_block", [1, 7])
+    def test_chunked_rows_match_one_block(self, monkeypatch, rows_per_block):
+        # integer features keep every Gram entry exact whichever BLAS kernel
+        # a block shape selects, so any chunking must give the same bits
+        rng = np.random.default_rng(13)
+        n = 150
+        x = rng.integers(-20, 20, size=(n, 5)).astype(np.float64)
+        x[40] = x[41]  # a duplicate pair, each other's nearest neighbour
+        assign = rng.integers(0, 4, size=n)
+        assign[[40, 41]] = 1
+        assign[0] = 9  # a singleton cluster, which scores 0
+        monkeypatch.setattr(cluster_core, "ROUTE_BLOCK_ELEMENTS", n * n)
+        want = silhouette(x, assign)
+        monkeypatch.setattr(cluster_core, "ROUTE_BLOCK_ELEMENTS", rows_per_block * n)
+        assert silhouette(x, assign) == want
+        dist = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+        scores = []
+        for i in range(n):
+            own = assign == assign[i]
+            if own.sum() == 1:
+                scores.append(0.0)
+                continue
+            a = dist[i, own].sum() / (own.sum() - 1)
+            b = min(dist[i, assign == j].mean() for j in set(assign.tolist()) - {assign[i]})
+            scores.append((b - a) / max(a, b))
+        assert want == pytest.approx(np.mean(scores), abs=1e-12)
+
+    def test_chunked_rows_on_real_valued_features(self, monkeypatch):
+        # on real-valued features block shapes may round Gram entries
+        # differently in the last bit; the score must still agree closely
+        rng = np.random.default_rng(14)
+        n = 150
+        x = rng.normal(size=(n, 5))
+        assign = rng.integers(0, 4, size=n)
+        monkeypatch.setattr(cluster_core, "ROUTE_BLOCK_ELEMENTS", n * n)
+        want = silhouette(x, assign)
+        monkeypatch.setattr(cluster_core, "ROUTE_BLOCK_ELEMENTS", 7 * n)
+        assert silhouette(x, assign) == pytest.approx(want, abs=1e-9)

@@ -16,7 +16,13 @@ from cackit.dataset import LabeledDataset, SplitSpec, SyntheticSpec, make_classi
 from cackit.cac_engine import CacModel, cac_predict_batch
 from cackit.classifiers import constant_classifier
 from cackit.cluster_core import kmeanspp_init, lloyd, nearest_centroids
-from cackit.errors import DimensionMismatch, OneClassOnly, ShapeMismatch, UntrainedModel
+from cackit.errors import (
+    DimensionMismatch,
+    OneClassOnly,
+    ShapeMismatch,
+    TrainingDiverged,
+    UntrainedModel,
+)
 from cackit.neural import (
     AmsHead,
     DeepCacModel,
@@ -450,6 +456,19 @@ class TestDeepCacFit:
         assert base.history["class_cosine_pretrain"] == deep.history["class_cosine_pretrain"]
         assert base.history["stage2_loss"] == []
         assert base.alpha == 0.0 and base.beta == 0.0
+
+    @pytest.mark.parametrize("pretrain_epochs,stage", [(50, "pretrain"), (0, "stage-2")])
+    def test_diverging_fit_fails_fast(self, pretrain_epochs, stage):
+        # lr=5 overflows within two epochs; without the check the fit returned
+        # NaN probabilities and a single kept cluster
+        ds = make_classification(SyntheticSpec(n_samples=600, n_features=6, n_clusters=2,
+                                               ics=2.0, ocs=2.0, seed=0, warp="sin"))
+        train, val, _ = split(ds, SplitSpec(0.6, 0.2, 0.2, seed=0))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDiverged) as err:
+            deepcac_fit(train, val, 3, lr=5.0, seed=0, pretrain_epochs=pretrain_epochs,
+                        local_epochs=30, epochs=5)
+        assert (err.value.stage, err.value.epoch) == (stage, 2)
+        assert f"{stage} loss is non-finite at epoch 2" in str(err.value)
 
 
 class TestPredict:
