@@ -41,7 +41,6 @@ from .cac_engine import (
 from .classifiers import (
     ClassifierSpec,
     TrainedClassifier,
-    cluster_then_predict,
     logloss_bounds,
     predict_proba,
     train_classifier,

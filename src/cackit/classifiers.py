@@ -1,22 +1,15 @@
-"""Local classifiers trained per cluster, plus the cluster-then-predict baseline."""
+"""Local classifiers trained per cluster."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics as _metrics
-from .cluster_core import kmeanspp_init, lloyd, nearest_centroids, silhouette
+from . import cluster_core
 from .dataset import LabeledDataset
-from .errors import (
-    DimensionMismatch,
-    EmptyCluster,
-    NotBinary,
-    OneClassOnly,
-    TooFewRows,
-)
+from .errors import DimensionMismatch, EmptyCluster, NotBinary, OneClassOnly
 
 KINDS = ("logreg", "ridge", "perceptron", "knn")
 
@@ -196,12 +189,16 @@ def predict_proba_batch(clf: TrainedClassifier, x: np.ndarray) -> np.ndarray:
     if x.shape[1] != expected:
         raise DimensionMismatch(f"expected {expected} features, got {x.shape[1]}")
     if clf.kind == "knn":
-        d2 = ((x[:, None, :] - clf.train_features[None, :, :]) ** 2).sum(axis=2)
-        k = min(clf.k_neighbors, clf.train_features.shape[0])
+        # rows in blocks whose (rows, n_train, d) difference tensor stays bounded
+        train = clf.train_features
+        k = min(clf.k_neighbors, train.shape[0])
+        step = max(1, cluster_core.ROUTE_BLOCK_ELEMENTS // max(1, train.size))
         out = np.empty(x.shape[0])
-        for i in range(x.shape[0]):
-            order = np.argsort(d2[i], kind="stable")[:k]
-            out[i] = clf.train_labels[order].mean()
+        for start in range(0, x.shape[0], step):
+            diff = x[start:start + step, None, :] - train[None, :, :]
+            np.multiply(diff, diff, out=diff)
+            order = np.argsort(diff.sum(axis=2), axis=1, kind="stable")[:, :k]
+            out[start:start + step] = clf.train_labels[order].mean(axis=1)
         return out
     return _sigmoid(_augment(x) @ clf.weights)
 
@@ -248,13 +245,9 @@ def train_per_cluster(state, ds: LabeledDataset, spec: ClassifierSpec) -> list[T
     Single-class clusters get a constant classifier; empty clusters are an
     error (the fit never produces them).
     """
-    return _train_clusters(np.asarray(state.assignments), len(state.sizes), ds, spec)
-
-
-def _train_clusters(assign: np.ndarray, k: int, ds: LabeledDataset,
-                    spec: ClassifierSpec) -> list[TrainedClassifier]:
+    assign = np.asarray(state.assignments)
     out = []
-    for j in range(k):
+    for j in range(len(state.sizes)):
         rows = assign == j
         if not rows.any():
             raise EmptyCluster(f"cluster {j} has no training rows")
@@ -264,30 +257,6 @@ def _train_clusters(assign: np.ndarray, k: int, ds: LabeledDataset,
         else:
             out.append(train_classifier(ds.features[rows], yj, spec))
     return out
-
-
-def cluster_then_predict(ds_train: LabeledDataset, ds_test: LabeledDataset, k: int,
-                         spec: ClassifierSpec, seed: int = 0) -> _metrics.EvalReport:
-    """k-means on the training features, local classifiers, nearest-centroid routing.
-
-    Labels play no part in the clustering. Returns the evaluation report on
-    the test set, with the training clustering's silhouette attached when
-    k >= 2.
-    """
-    if ds_train.n_classes != 2:
-        raise NotBinary("cluster_then_predict supports binary labels")
-    if k > ds_train.n_samples:
-        raise TooFewRows(f"k={k} exceeds training rows {ds_train.n_samples}")
-    km = lloyd(ds_train.features, kmeanspp_init(ds_train.features, k, seed))
-    local = _train_clusters(km.assignments, k, ds_train, spec)
-
-    routes = nearest_centroids(ds_test.features, km.centroids)
-    scores = np.empty(ds_test.n_samples)
-    for j in np.unique(routes):
-        rows = routes == j
-        scores[rows] = predict_proba_batch(local[j], ds_test.features[rows])
-    sil = silhouette(ds_train.features, km.assignments) if k >= 2 else None
-    return _metrics.evaluate_binary(scores, ds_test.labels, silhouette=sil)
 
 
 def classifier_to_dict(clf: TrainedClassifier) -> dict:

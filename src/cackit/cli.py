@@ -13,9 +13,6 @@ from .config import load_config, parse_override, set_path, validate_config
 from .errors import CackitError, ConfigInvalid
 from .experiments import compare_reports, run_task
 
-RUN_TASKS = ("synth", "fit-cac", "fit-deepcac", "baseline", "sweep")
-
-
 def _add_run_parser(subparsers, name: str, help_text: str) -> None:
     p = subparsers.add_parser(name, help=help_text)
     p.add_argument("--config", required=True, help="path to the YAML experiment config")

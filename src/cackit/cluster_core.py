@@ -11,8 +11,9 @@ from .errors import DimensionMismatch, KTooLarge, OneCluster
 
 LLOYD_MAX_ITER = 300
 LLOYD_TOL = 1e-6
-# largest block nearest_centroids (rows, k, d differences) or silhouette (rows, n
-# distances) builds at once: 8 MB of float64
+# largest block nearest_centroids (rows, k, d differences), silhouette (rows, n
+# distances) or kNN scoring (rows, n_train, d differences) builds at once: 8 MB
+# of float64
 ROUTE_BLOCK_ELEMENTS = 1 << 20
 
 

@@ -6,11 +6,11 @@ import copy
 
 import yaml
 
+from .classifiers import KINDS as CLASSIFIER_KINDS
 from .errors import ConfigInvalid
 
 TASKS = ("synth", "fit-cac", "fit-deepcac", "baseline", "sweep")
 BASELINES = ("km", "bare", "kmz")
-CLASSIFIER_KINDS = ("logreg", "ridge", "perceptron", "knn")
 WARPS = ("none", "sin")
 
 # every recognized key with its default; unknown keys are rejected outright

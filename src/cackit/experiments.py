@@ -58,11 +58,7 @@ def prepare_data(cfg: dict, run_seed: int) -> tuple[LabeledDataset, LabeledDatas
     if d["csv"]:
         ds = load_csv(d["csv"], d["label_column"], d["has_header"])
     else:
-        s = d["synthetic"]
-        ds = make_classification(SyntheticSpec(
-            n_samples=s["n_samples"], n_features=s["n_features"],
-            n_clusters=s["n_clusters"], ics=s["ics"], ocs=s["ocs"],
-            seed=s["seed"] + run_seed, warp=s["warp"]))
+        ds = make_classification(_synthetic_spec(cfg, run_seed))
     sp = cfg["split"]
     train, val, test = split(ds, SplitSpec(sp["train_frac"], sp["val_frac"], sp["test_frac"],
                                            seed=sp["seed"] + run_seed,
@@ -74,37 +70,55 @@ def prepare_data(cfg: dict, run_seed: int) -> tuple[LabeledDataset, LabeledDatas
     return train, val, test
 
 
-def _classifier_spec(cfg: dict) -> classifiers.ClassifierSpec:
-    c = cfg["model"]["classifier"]
-    return classifiers.ClassifierSpec(kind=c["kind"], learning_rate=c["learning_rate"],
-                                      l2_penalty=c["l2_penalty"], epochs=c["epochs"],
-                                      k_neighbors=c["k_neighbors"], ridge_lambda=c["ridge_lambda"])
+def _synthetic_spec(cfg: dict, run_seed: int) -> SyntheticSpec:
+    """The `dataset.synthetic` section, its seed shifted by the run seed."""
+    s = cfg["dataset"]["synthetic"]
+    return SyntheticSpec(**dict(s, seed=s["seed"] + run_seed))
+
+
+def _fit_model(train: LabeledDataset, k: int, alpha: float, spec: classifiers.ClassifierSpec,
+               seed: int, max_rounds: int, init=None
+               ) -> tuple[cac_engine.CacRun, cac_engine.CacModel]:
+    """One CAC fit and its local classifiers, packed as a servable model.
+
+    With alpha 0 and max_rounds 0 the fit stops at its k-means start, which
+    makes this the cluster-then-classify baseline as well.
+    """
+    run = cac_engine.cac_fit(train, k, alpha, max_rounds=max_rounds, seed=seed,
+                             init_assignments=init)
+    local = classifiers.train_per_cluster(run.state, train, spec)
+    return run, cac_engine.CacModel(run.state.centroids.copy(), local, alpha, run.cost_trace)
+
+
+def _evaluate_cac(run: cac_engine.CacRun, model: cac_engine.CacModel, train: LabeledDataset,
+                  test: LabeledDataset) -> metrics.EvalReport:
+    """Test-set report of a CAC model, with the training clustering's silhouette when k >= 2."""
+    _, scores = cac_engine.cac_predict_batch(model, test.features)
+    sil = silhouette(train.features, run.state.assignments) if model.k >= 2 else None
+    return metrics.evaluate_binary(scores, test.labels, silhouette=sil)
 
 
 def select_alpha(train: LabeledDataset, val: LabeledDataset, k: int, grid: list[float],
                  spec: classifiers.ClassifierSpec, seed: int, max_rounds: int
-                 ) -> tuple[float, dict, cac_engine.CacRun, list[classifiers.TrainedClassifier]]:
+                 ) -> tuple[float, dict, cac_engine.CacRun, cac_engine.CacModel]:
     """Pick the separation weight by validation AUPRC; ties keep the earlier value.
 
     Returns the chosen alpha, the validation AUPRC per grid value, and the
-    chosen alpha's fit and local classifiers.
+    chosen alpha's fit and model.
     """
     best, best_score = None, -np.inf
     scores = {}
     init = None  # every alpha starts from the first fit's k-means clustering
     for alpha in grid:
-        run = cac_engine.cac_fit(train, k, float(alpha), max_rounds=max_rounds, seed=seed,
-                                 init_assignments=init)
+        run, model = _fit_model(train, k, float(alpha), spec, seed, max_rounds, init)
         init = run.init_assignments
-        local = classifiers.train_per_cluster(run.state, train, spec)
-        model = cac_engine.CacModel(run.state.centroids.copy(), local, float(alpha), run.cost_trace)
         _, val_scores = cac_engine.cac_predict_batch(model, val.features)
         score = metrics.auprc(val_scores, val.labels)
         scores[repr(float(alpha))] = score
         if score > best_score:
-            best, best_score = (float(alpha), run, local), score
-    alpha, run, local = best
-    return alpha, scores, run, local
+            best, best_score = (float(alpha), run, model), score
+    alpha, run, model = best
+    return alpha, scores, run, model
 
 
 def _logloss_diagnostics(run: cac_engine.CacRun, train: LabeledDataset,
@@ -130,41 +144,26 @@ def run_fit_cac(cfg: dict, run_seed: int) -> tuple[dict, str]:
     (report dict, serialized model)."""
     train, val, test = prepare_data(cfg, run_seed)
     m = cfg["model"]
-    spec = _classifier_spec(cfg)
+    spec = classifiers.ClassifierSpec(**m["classifier"])
     diagnostics: dict = {}
     if m["alpha"] == "auto":
-        alpha, val_scores, run, local = select_alpha(train, val, m["k"], m["alpha_grid"], spec,
+        alpha, val_scores, run, model = select_alpha(train, val, m["k"], m["alpha_grid"], spec,
                                                      run_seed, m["max_rounds"])
         diagnostics["alpha_selected"] = alpha
         diagnostics["alpha_val_auprc"] = val_scores
     else:
-        alpha = float(m["alpha"])
-        run = cac_engine.cac_fit(train, m["k"], alpha, max_rounds=m["max_rounds"], seed=run_seed)
-        local = classifiers.train_per_cluster(run.state, train, spec)
-    model = cac_engine.CacModel(run.state.centroids.copy(), local, alpha, run.cost_trace)
-    _, scores = cac_engine.cac_predict_batch(model, test.features)
+        run, model = _fit_model(train, m["k"], float(m["alpha"]), spec, run_seed, m["max_rounds"])
+    report = _evaluate_cac(run, model, train, test)
 
-    sil_final = None
     if m["k"] >= 2:
-        sil_final = silhouette(train.features, run.state.assignments)
         diagnostics["silhouette_init"] = silhouette(train.features, run.init_assignments)
-        diagnostics["silhouette_final"] = sil_final
+        diagnostics["silhouette_final"] = report.silhouette
     diagnostics["cost_trace"] = run.cost_trace
     diagnostics["rounds"] = run.rounds
     diagnostics["moves_per_round"] = run.moves_per_round
-    diagnostics["logloss_bounds"] = _logloss_diagnostics(run, train, local)
-
-    report = metrics.evaluate_binary(scores, test.labels, silhouette=sil_final)
+    diagnostics["logloss_bounds"] = _logloss_diagnostics(run, train, model.classifiers)
     return (_report_dict(cfg, run_seed, f"cac+{spec.kind}", report, diagnostics),
             cac_engine.cac_model_to_json(model))
-
-
-def _shared_deepcac_args(cfg: dict) -> dict:
-    """The `model.deepcac` hyperparameters that deepcac_fit and kmz_fit both take."""
-    dc = cfg["model"]["deepcac"]
-    return {key: dc[key] for key in ("lr", "hidden", "latent", "local_hidden", "batch_size",
-                                     "pretrain_epochs", "local_epochs", "local_lr", "patience",
-                                     "scale", "margin")}
 
 
 def run_baseline(cfg: dict, run_seed: int) -> tuple[dict, str | None]:
@@ -174,17 +173,20 @@ def run_baseline(cfg: dict, run_seed: int) -> tuple[dict, str | None]:
     m = cfg["model"]
     kind = m["baseline"]
     if kind == "km":
-        spec = _classifier_spec(cfg)
-        report = classifiers.cluster_then_predict(train, test, m["k"], spec, seed=run_seed)
+        spec = classifiers.ClassifierSpec(**m["classifier"])
+        run, model = _fit_model(train, m["k"], 0.0, spec, run_seed, max_rounds=0)
+        report = _evaluate_cac(run, model, train, test)
         return _report_dict(cfg, run_seed, f"km+{spec.kind}", report, {}), None
     if kind == "bare":
-        spec = _classifier_spec(cfg)
+        spec = classifiers.ClassifierSpec(**m["classifier"])
         clf = classifiers.train_classifier(train.features, train.labels, spec)
         scores = classifiers.predict_proba_batch(clf, test.features)
         report = metrics.evaluate_binary(scores, test.labels)
         return _report_dict(cfg, run_seed, spec.kind, report, {}), None
-    # kmz
-    model = neural.kmz_fit(train, val, m["k"], seed=run_seed, **_shared_deepcac_args(cfg))
+    # kmz fixes the combined-loss settings itself
+    shared = {key: value for key, value in m["deepcac"].items()
+              if key not in ("alpha", "beta", "delta", "epochs")}
+    model = neural.kmz_fit(train, val, m["k"], seed=run_seed, **shared)
     report, diagnostics = _evaluate_neural(model, test)
     return (_report_dict(cfg, run_seed, "kmz", report, diagnostics),
             neural.deepcac_model_to_json(model))
@@ -202,11 +204,8 @@ def _evaluate_neural(model: neural.DeepCacModel, test: LabeledDataset) -> tuple[
 
 def run_fit_deepcac(cfg: dict, run_seed: int) -> tuple[dict, str]:
     train, val, test = prepare_data(cfg, run_seed)
-    m = cfg["model"]
-    dc = m["deepcac"]
-    model = neural.deepcac_fit(train, val, m["k"], alpha=dc["alpha"], beta=dc["beta"],
-                               delta=dc["delta"], epochs=dc["epochs"], seed=run_seed,
-                               **_shared_deepcac_args(cfg))
+    model = neural.deepcac_fit(train, val, cfg["model"]["k"], seed=run_seed,
+                               **cfg["model"]["deepcac"])
     report, diagnostics = _evaluate_neural(model, test)
     return (_report_dict(cfg, run_seed, "deepcac", report, diagnostics),
             neural.deepcac_model_to_json(model))
@@ -327,11 +326,7 @@ def run_task(cfg: dict, out_dir, jobs: int = 1) -> dict:
     task = cfg["task"]
     n_runs = 0
     if task == "synth":
-        s = cfg["dataset"]["synthetic"]
-        ds = make_classification(SyntheticSpec(
-            n_samples=s["n_samples"], n_features=s["n_features"],
-            n_clusters=s["n_clusters"], ics=s["ics"], ocs=s["ocs"],
-            seed=s["seed"], warp=s["warp"]))
+        ds = make_classification(_synthetic_spec(cfg, 0))
         save_csv(ds, out_dir / "dataset.csv", cfg["dataset"]["label_column"])
         n_runs = 1
     elif task == "sweep":

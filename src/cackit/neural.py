@@ -15,7 +15,6 @@ including the normalization Jacobians.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -44,10 +43,6 @@ class DenseNet:
 
     def copy(self) -> "DenseNet":
         return DenseNet([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
-    @property
-    def sizes(self) -> list[int]:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
 
 def init_dense(sizes: list[int], rng: np.random.Generator) -> DenseNet:

@@ -413,6 +413,33 @@ class TestGoldenTrajectory:
         assert hashlib.sha256(final).hexdigest() == digest
 
 
+class TestDrift:
+    def test_live_state_tracks_scratch_rebuild_over_a_full_fit(self):
+        # the fifth golden case: 1866 moves over 13 rounds, all applied
+        # incrementally to one live state
+        n, d, k, alpha, seed = 800, 64, 16, 3.0, 4
+        ds = make_classification(SyntheticSpec(n_samples=n, n_features=d, n_clusters=2,
+                                               ics=1.0, ocs=2.0, seed=seed))
+        seen = []  # the live state, once per applied move
+
+        def compare(state):
+            fresh = ClusterState.from_assignments(ds, state.assignments, k, alpha)
+            for name in ("sizes", "pos_counts", "neg_counts"):
+                np.testing.assert_array_equal(getattr(state, name), getattr(fresh, name))
+            for name in ("centroids", "pos_centroids", "neg_centroids"):
+                assert rel_err(getattr(state, name), getattr(fresh, name)) < 1e-8
+
+        def watch(state, i, p, q, delta):
+            seen.append(state)
+            if len(seen) % 100 == 0:
+                compare(state)
+
+        run = cac_fit(ds, k, alpha, seed=seed, on_move=watch)
+        assert len(seen) == sum(run.moves_per_round) > 1000
+        np.testing.assert_array_equal(seen[-1].assignments, run.state.assignments)
+        compare(seen[-1])
+
+
 class TestPrediction:
     def build_model(self, ds, k=2, alpha=0.5, seed=0):
         run = cac_fit(ds, k, alpha, seed=seed)

@@ -2,7 +2,7 @@
 
 Covers the four from-scratch kinds (logistic regression, ridge, perceptron,
 k-nearest neighbours), the per-cluster training helper, the log-loss sandwich
-bound, the cluster-then-classify baseline and serialization.
+bound, the cluster-then-classify (km) baseline and serialization.
 """
 
 import math
@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cackit import cluster_core
 from cackit.classifiers import (
     ClassifierSpec,
     classifier_from_dict,
     classifier_to_dict,
-    cluster_then_predict,
     constant_classifier,
     logloss_bounds,
     logreg_loss_grad,
@@ -28,20 +28,17 @@ from cackit.classifiers import (
     train_perceptron,
     train_ridge,
 )
-from cackit.dataset import (
-    LabeledDataset,
-    SplitSpec,
-    SyntheticSpec,
-    make_classification,
-    split,
-)
+from cackit.cluster_core import kmeanspp_init, lloyd, silhouette
+from cackit.config import validate_config
+from cackit.dataset import LabeledDataset, SyntheticSpec, make_classification
 from cackit.errors import (
     DimensionMismatch,
     EmptyCluster,
     NotBinary,
     OneClassOnly,
 )
-from cackit.metrics import auc
+from cackit.experiments import prepare_data, run_baseline
+from cackit.metrics import auc, evaluate_binary
 
 from conftest import central_difference, rel_err
 
@@ -135,6 +132,26 @@ class TestPredictProba:
         labels = np.array([1, 1, 0, 0])
         clf = train_classifier(feats, labels, ClassifierSpec(kind="knn", k_neighbors=3))
         assert predict_proba(clf, np.array([0.05])) == pytest.approx(2.0 / 3.0)
+
+    def test_knn_blocks_match_one_block(self, monkeypatch):
+        # two training rows sit at the origin with opposite labels and four
+        # more at distance 1, so a query at the origin ties both at the top
+        # and at the k-th neighbour; those queries straddle a block boundary
+        rng = np.random.default_rng(11)
+        feats = np.vstack([[[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [-1.0, 0.0],
+                            [0.0, 1.0], [0.0, -1.0]],
+                           rng.integers(-3, 4, size=(14, 2))]).astype(float)
+        labels = np.array([0, 1, 1, 0, 0, 1] + list(rng.integers(0, 2, size=14)))
+        query = rng.integers(-3, 4, size=(10, 2)).astype(float)
+        query[2] = query[3] = query[4] = 0.0
+        clf = train_classifier(feats, labels, ClassifierSpec(kind="knn", k_neighbors=3))
+        monkeypatch.setattr(cluster_core, "ROUTE_BLOCK_ELEMENTS", 3 * feats.size)
+        got = predict_proba_batch(clf, query)  # blocks of 3 rows: 0-2, 3-5, 6-8, 9
+
+        d2 = ((query[:, None, :] - feats[None, :, :]) ** 2).sum(axis=2)
+        want = np.array([labels[np.argsort(row, kind="stable")[:3]].mean() for row in d2])
+        np.testing.assert_array_equal(got, want)
+        assert got[2] == got[3] == got[4] == pytest.approx(2.0 / 3.0)
 
     def test_dimension_mismatch(self, rng):
         feats, labels = binary_blobs(rng, n=20, d=3)
@@ -283,40 +300,63 @@ class TestTrainPerCluster:
 
 
 class TestClusterThenPredict:
-    def make_split(self, seed=0, **overrides):
-        spec = dict(n_samples=400, n_features=4, n_clusters=2, ics=1.0,
-                    ocs=2.0, seed=seed)
-        spec.update(overrides)
-        ds = make_classification(SyntheticSpec(**spec))
-        return split(ds, SplitSpec(0.6, 0.15, 0.25, seed=seed))
+    """The km baseline: k-means on the training features, one local
+    classifier per cluster, nearest-centroid routing."""
+
+    @staticmethod
+    def config(k, kind="logreg", epochs=100, **synthetic):
+        synth = dict(n_samples=400, n_features=4, n_clusters=2, ics=1.0, ocs=2.0)
+        synth.update(synthetic)
+        return validate_config({
+            "task": "baseline",
+            "dataset": {"synthetic": synth},
+            "split": {"train_frac": 0.6, "val_frac": 0.15, "test_frac": 0.25},
+            "model": {"k": k, "baseline": "km",
+                      "classifier": {"kind": kind, "epochs": epochs}},
+        })
 
     def test_k_one_equals_bare_classifier(self):
-        train, _, test = self.make_split(seed=1)
-        spec = ClassifierSpec(kind="logreg", epochs=100)
-        report = cluster_then_predict(train, test, 1, spec, seed=1)
-        bare = train_logreg(train.features, train.labels, spec)
+        cfg = self.config(k=1)
+        report, model_json = run_baseline(cfg, 1)
+        train, _, test = prepare_data(cfg, 1)
+        bare = train_logreg(train.features, train.labels, ClassifierSpec(kind="logreg", epochs=100))
         scores = predict_proba_batch(bare, test.features)
-        assert report.auc == pytest.approx(auc(scores, test.labels), abs=1e-12)
+        assert report["metrics"]["auc"] == pytest.approx(auc(scores, test.labels), abs=1e-12)
+        assert model_json is None
 
     def test_same_seed_is_deterministic(self):
-        train, _, test = self.make_split(seed=2)
-        spec = ClassifierSpec(kind="logreg", epochs=50)
-        a = cluster_then_predict(train, test, 3, spec, seed=7)
-        b = cluster_then_predict(train, test, 3, spec, seed=7)
-        assert a.to_dict() == b.to_dict()
+        cfg = self.config(k=3, epochs=50)
+        assert run_baseline(cfg, 7) == run_baseline(cfg, 7)
 
     def test_clustering_first_helps_on_multi_cluster_data(self):
-        spec = ClassifierSpec(kind="logreg", epochs=200)
-        km_aucs, bare_aucs = [], []
-        for seed in range(5):
-            train, _, test = self.make_split(seed=seed, n_clusters=3,
-                                             n_samples=600)
-            km_aucs.append(cluster_then_predict(train, test, 3, spec,
-                                                seed=seed).auc)
-            bare = train_logreg(train.features, train.labels, spec)
-            scores = predict_proba_batch(bare, test.features)
-            bare_aucs.append(auc(scores, test.labels))
+        cfg = self.config(k=3, epochs=200, n_clusters=3, n_samples=600)
+        bare_cfg = validate_config(dict(cfg, model=dict(cfg["model"], baseline="bare")))
+        km_aucs = [run_baseline(cfg, seed)[0]["metrics"]["auc"] for seed in range(5)]
+        bare_aucs = [run_baseline(bare_cfg, seed)[0]["metrics"]["auc"] for seed in range(5)]
         assert np.mean(km_aucs) >= np.mean(bare_aucs)
+
+    @pytest.mark.parametrize("kind,k", [("logreg", 1), ("logreg", 3), ("knn", 2)])
+    def test_metrics_equal_the_inline_pipeline(self, kind, k):
+        # the baseline as written out before it became a zero-round CAC fit
+        cfg = self.config(k=k, kind=kind)
+        seed = 3
+        report, _ = run_baseline(cfg, seed)
+        train, _, test = prepare_data(cfg, seed)
+        spec = ClassifierSpec(**cfg["model"]["classifier"])
+        km = lloyd(train.features, kmeanspp_init(train.features, k, seed))
+        local = []
+        for j in range(k):
+            rows = km.assignments == j
+            yj = train.labels[rows]
+            local.append(constant_classifier(int(yj[0])) if (yj == yj[0]).all()
+                         else train_classifier(train.features[rows], yj, spec))
+        d2 = ((test.features[:, None, :] - km.centroids[None, :, :]) ** 2).sum(axis=2)
+        routes = d2.argmin(axis=1)
+        scores = np.empty(test.n_samples)
+        for j in np.unique(routes):
+            scores[routes == j] = predict_proba_batch(local[j], test.features[routes == j])
+        sil = silhouette(train.features, km.assignments) if k >= 2 else None
+        assert report["metrics"] == evaluate_binary(scores, test.labels, silhouette=sil).to_dict()
 
 
 class TestSerialization:
