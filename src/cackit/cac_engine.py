@@ -3,11 +3,11 @@
 Each cluster is scored by its within-cluster SSE minus ``alpha * size *
 ||mu_pos - mu_neg||^2``, where mu_pos/mu_neg are the centroids of the
 positive- and negative-labelled members. Points are swept in index order
-and moved to whichever cluster lowers the total score the most, scoring
-all k clusters at once with one signed closed form; moves that would
-empty a cluster or strip it of one class are never considered. Clusters
-holding a single class score a separation term of zero until they gain
-the missing class.
+and moved to whichever cluster lowers the total score the most; moves that
+would empty a cluster or strip it of one class are never considered.
+Clusters holding a single class score a separation term of zero until they
+gain the missing class. One signed closed form scores a block of
+consecutive points against all k clusters at once.
 """
 
 from __future__ import annotations
@@ -36,25 +36,24 @@ from .errors import (
 DEFAULT_MAX_ROUNDS = 100
 # a move must beat this margin; guards the strict-descent property against roundoff
 MOVE_TOL = 1e-9
+BLOCK_ELEMENTS = 2**14  # rows * k * d entries screened at once: memory does not grow with n
 
 
 @dataclass
 class ClusterState:
     """Incremental bookkeeping for one clustering of a binary dataset.
 
-    Arrays indexed by cluster: member counts, per-class member counts and
-    the corresponding centroids. Class centroids of an absent class are
-    stored as zero rows with a zero count so incremental updates stay
-    uniform.
+    Member counts and centroids per cluster, and per-class counts (2, k) and
+    centroids (2, k, d) indexed by label; `pos_*`/`neg_*` are read-only views
+    of labels 1 and 0. An absent class keeps a zero row and a zero count so
+    incremental updates stay uniform.
     """
 
     assignments: np.ndarray
     sizes: np.ndarray
-    pos_counts: np.ndarray
-    neg_counts: np.ndarray
+    class_counts: np.ndarray
     centroids: np.ndarray
-    pos_centroids: np.ndarray
-    neg_centroids: np.ndarray
+    class_centroids: np.ndarray
     alpha: float
 
     @classmethod
@@ -62,33 +61,33 @@ class ClusterState:
         """Build all counts and centroids from scratch for a given assignment."""
         assign = np.array(assignments, dtype=np.int64, copy=True)
         x, y = ds.features, ds.labels
-        d = ds.n_features
         sizes = np.bincount(assign, minlength=k)
-        pos_counts = np.bincount(assign[y == 1], minlength=k)
-        neg_counts = sizes - pos_counts
-        centroids = np.zeros((k, d))
-        pos_centroids = np.zeros((k, d))
-        neg_centroids = np.zeros((k, d))
+        class_counts = np.stack([np.bincount(assign[y == c], minlength=k) for c in (0, 1)])
+        centroids = np.zeros((k, ds.n_features))
+        class_centroids = np.zeros((2, k, ds.n_features))
         for j in range(k):
             members = assign == j
             if sizes[j] > 0:
                 centroids[j] = x[members].mean(axis=0)
-            if pos_counts[j] > 0:
-                pos_centroids[j] = x[members & (y == 1)].mean(axis=0)
-            if neg_counts[j] > 0:
-                neg_centroids[j] = x[members & (y == 0)].mean(axis=0)
-        return cls(assign, sizes, pos_counts, neg_counts,
-                   centroids, pos_centroids, neg_centroids, float(alpha))
+            for c in (0, 1):
+                if class_counts[c, j] > 0:
+                    class_centroids[c, j] = x[members & (y == c)].mean(axis=0)
+        return cls(assign, sizes, class_counts, centroids, class_centroids, float(alpha))
 
     @property
     def k(self) -> int:
         return self.sizes.shape[0]
 
+    pos_counts = property(lambda self: self.class_counts[1])
+    neg_counts = property(lambda self: self.class_counts[0])
+    pos_centroids = property(lambda self: self.class_centroids[1])
+    neg_centroids = property(lambda self: self.class_centroids[0])
+
     def separation_sq(self, j: int) -> float:
         """Squared distance between the class centroids; 0 if a class is absent."""
-        if self.pos_counts[j] == 0 or self.neg_counts[j] == 0:
+        if not self.class_counts[:, j].all():
             return 0.0
-        diff = self.pos_centroids[j] - self.neg_centroids[j]
+        diff = self.class_centroids[1, j] - self.class_centroids[0, j]
         return float(diff @ diff)
 
 
@@ -107,35 +106,53 @@ def total_cost(state: ClusterState, ds: LabeledDataset) -> float:
     return float(sum(cluster_cost(state, ds, j) for j in range(state.k) if state.sizes[j] > 0))
 
 
-def _score_changes(state: ClusterState, ds: LabeledDataset, i: int) -> np.ndarray:
-    """Change in every cluster's score if point i left its own cluster p or
-    joined any other, as one signed closed form over all k clusters in O(k*d).
+def _separations(state: ClusterState) -> np.ndarray:
+    """`separation_sq` of every cluster, as one vector."""
+    gap = state.class_centroids[1] - state.class_centroids[0]
+    return np.where(state.class_counts.all(axis=0), np.einsum("kd,kd->k", gap, gap), 0.0)
+
+
+def _guard(counts: np.ndarray, y, p):
+    """`can_remove` for label(s) y leaving cluster(s) p, given class counts (2, k)."""
+    return (counts[y, p] >= 2) & (counts[1 - y, p] >= 1)
+
+
+def _score_block(state: ClusterState, ds: LabeledDataset, rows: slice, sep: np.ndarray) -> np.ndarray:
+    """Change in every cluster's score, (rows, k), if each point of `rows` left
+    its own cluster p or joined any other, as one signed closed form in O(k*d).
 
     With s = -1 at p and +1 elsewhere, a cluster of n members and centroid
-    mu changes its SSE by s*n/(n+s)*||x - mu||^2, and i's class centroid
-    becomes (c*own + s*x)/(c + s). Denominators are clamped at 1: the entry
-    at p is only meaningful when `can_remove` holds, and an empty cluster
-    scores 0.
+    mu changes its SSE by s*n/(n+s)*||x - mu||^2, and the point's class
+    centroid becomes (c*own + s*x)/(c + s). Denominators are clamped at 1:
+    the entry at p is only meaningful when `can_remove` holds, and an empty
+    cluster scores 0.
     """
-    x = ds.features[i]
-    n = state.sizes
-    s = np.ones(state.k)
-    s[state.assignments[i]] = -1.0
+    x, y, n = ds.features[rows][:, None, :], ds.labels[rows], state.sizes
+    s = np.ones((x.shape[0], state.k))
+    s[np.arange(x.shape[0]), state.assignments[rows]] = -1.0
     grown = n + s
     diff = state.centroids - x
-    delta_sse = s * n / np.maximum(grown, 1.0) * np.einsum("kd,kd->k", diff, diff)
+    delta_sse = s * n / np.maximum(grown, 1.0) * np.einsum("bkd,bkd->bk", diff, diff)
 
-    pos, neg = state.pos_counts, state.neg_counts
-    if ds.labels[i] == 1:
-        own_count, own, other_count, other = pos, state.pos_centroids, neg, state.neg_centroids
-    else:
-        own_count, own, other_count, other = neg, state.neg_centroids, pos, state.pos_centroids
-    own_new = (own_count[:, None] * own + s[:, None] * x) / np.maximum(own_count + s, 1.0)[:, None]
-    gap_old = state.pos_centroids - state.neg_centroids
-    sep_old = np.where((pos > 0) & (neg > 0), np.einsum("kd,kd->k", gap_old, gap_old), 0.0)
-    gap_new = own_new - other
-    sep_new = np.where(other_count > 0, np.einsum("kd,kd->k", gap_new, gap_new), 0.0)
-    return delta_sse + state.alpha * (n * sep_old - grown * sep_new)
+    own_count, other_count = state.class_counts[y], state.class_counts[1 - y]
+    own_new = ((own_count[..., None] * state.class_centroids[y] + s[..., None] * x)
+               / np.maximum(own_count + s, 1.0)[..., None])
+    gap_new = own_new - state.class_centroids[1 - y]
+    sep_new = np.where(other_count > 0, np.einsum("bkd,bkd->bk", gap_new, gap_new), 0.0)
+    return delta_sse + state.alpha * (n * sep - grown * sep_new)
+
+
+def _best_moves(state: ClusterState, ds: LabeledDataset, rows: slice, sep: np.ndarray) -> tuple:
+    """For each point of `rows` against the current state: whether it passes
+    the class guard, its best target cluster and that move's total change."""
+    deltas = _score_block(state, ds, rows, sep)
+    at = np.arange(deltas.shape[0])
+    p = state.assignments[rows]
+    # moving to q changes the total by the merge at q plus the removal at p
+    deltas += deltas[at, p][:, None]
+    deltas[at, p] = np.inf
+    q = deltas.argmin(axis=1)
+    return _guard(state.class_counts, ds.labels[rows], p), q, deltas[at, q]
 
 
 def merge_cost_change(state: ClusterState, ds: LabeledDataset, j: int, i: int) -> float:
@@ -146,16 +163,12 @@ def merge_cost_change(state: ClusterState, ds: LabeledDataset, j: int, i: int) -
     """
     if state.assignments[i] == j:
         raise PointAlreadyInCluster(f"point {i} is already in cluster {j}")
-    return float(_score_changes(state, ds, i)[j])
+    return float(_score_block(state, ds, slice(i, i + 1), _separations(state))[0, j])
 
 
 def can_remove(state: ClusterState, ds: LabeledDataset, p: int, i: int) -> bool:
     """True when removing point i leaves cluster p non-empty with both classes."""
-    if state.sizes[p] <= 1:
-        return False
-    if ds.labels[i] == 1:
-        return state.pos_counts[p] >= 2 and state.neg_counts[p] >= 1
-    return state.neg_counts[p] >= 2 and state.pos_counts[p] >= 1
+    return bool(_guard(state.class_counts, ds.labels[i], p))
 
 
 def removal_cost_change(state: ClusterState, ds: LabeledDataset, p: int, i: int) -> float:
@@ -169,7 +182,7 @@ def removal_cost_change(state: ClusterState, ds: LabeledDataset, p: int, i: int)
         raise WouldEmptyCluster(f"cluster {p} has a single member")
     if not can_remove(state, ds, p, i):
         raise WouldCreateOneClassCluster(f"removing point {i} would leave cluster {p} one-class")
-    return float(_score_changes(state, ds, i)[p])
+    return float(_score_block(state, ds, slice(i, i + 1), _separations(state))[0, p])
 
 
 def move_cost_change(state: ClusterState, ds: LabeledDataset, i: int, p: int, q: int) -> float:
@@ -187,13 +200,10 @@ def apply_move(state: ClusterState, ds: LabeledDataset, i: int, p: int, q: int) 
         raise IllegalMove("source and target cluster coincide")
     if not can_remove(state, ds, p, i):
         raise IllegalMove(f"removing point {i} would break cluster {p}'s class guard")
-    x = ds.features[i]
-    if ds.labels[i] == 1:
-        own = (state.pos_counts, state.pos_centroids)
-    else:
-        own = (state.neg_counts, state.neg_centroids)
+    x, y = ds.features[i], ds.labels[i]
     for j, s in ((p, -1), (q, 1)):
-        for counts, cents in ((state.sizes, state.centroids), own):
+        for counts, cents in ((state.sizes, state.centroids),
+                              (state.class_counts[y], state.class_centroids[y])):
             c = float(counts[j])
             cents[j] = (c * cents[j] + s * x) / (c + s)
             counts[j] += s
@@ -208,7 +218,9 @@ class CacRun:
     `ops_per_round` counts the candidate evaluations of each round in
     feature entries: every point that passes the class guard is scored
     against all k clusters (one removal plus k - 1 merges), d entries each,
-    so k * d per such point.
+    so k * d per such point and per time it is scored. The descent scores
+    blocks of consecutive points, and the points after a move in its block
+    are scored again from the moved state, so they count once more.
     """
 
     state: ClusterState
@@ -257,24 +269,28 @@ def cac_fit(ds: LabeledDataset, k: int, alpha: float, max_rounds: int = DEFAULT_
     moves_per_round: list[int] = []
     ops_per_round: list[int] = []
     rounds = 0
+    max_block = max(1, BLOCK_ELEMENTS // (k * d))
     for _ in range(max_rounds):
-        ops = 0
-        moves = 0
-        for i in range(n):
-            p = int(state.assignments[i])
-            if not can_remove(state, ds, p, i):
+        ops = moves = 0
+        sep = _separations(state)
+        i, block = 0, min(4, max_block)
+        while i < n:
+            rows = slice(i, min(i + block, n))
+            guarded, targets, best = _best_moves(state, ds, rows, sep)
+            ops += int(guarded.sum()) * k * d
+            # every row before the first improving guarded one is a non-move
+            hit = np.flatnonzero(guarded & (best < -MOVE_TOL))
+            if hit.size == 0:
+                i, block = rows.stop, min(2 * block, max_block)
                 continue
-            ops += k * d
-            # moving to q changes the total by the merge at q plus the removal at p
-            deltas = _score_changes(state, ds, i)
-            deltas += deltas[p]
-            deltas[p] = np.inf
-            q = int(np.argmin(deltas))
-            if deltas[q] < -MOVE_TOL:
-                apply_move(state, ds, i, p, q)
-                moves += 1
-                if on_move is not None:
-                    on_move(state, i, p, q, float(deltas[q]))
+            h = int(hit[0])
+            i, p, q = i + h, int(state.assignments[i + h]), int(targets[h])
+            apply_move(state, ds, i, p, q)
+            sep = _separations(state)
+            moves += 1
+            if on_move is not None:
+                on_move(state, i, p, q, float(best[h]))
+            i, block = i + 1, min(4, max_block)
         rounds += 1
         moves_per_round.append(moves)
         ops_per_round.append(ops)

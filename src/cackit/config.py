@@ -6,7 +6,7 @@ import copy
 
 import yaml
 
-from .classifiers import KINDS as CLASSIFIER_KINDS
+from .classifiers import ClassifierSpec
 from .errors import ConfigInvalid
 
 TASKS = ("synth", "fit-cac", "fit-deepcac", "baseline", "sweep")
@@ -130,8 +130,10 @@ def validate_config(raw: dict) -> dict:
     _require(cfg["version"] == 1, "version", f"unsupported version {cfg['version']!r}")
     _require(cfg["task"] in TASKS, "task", f"must be one of {TASKS}")
     _require(cfg["model"]["baseline"] in BASELINES, "model.baseline", f"must be one of {BASELINES}")
-    _require(cfg["model"]["classifier"]["kind"] in CLASSIFIER_KINDS,
-             "model.classifier.kind", f"must be one of {CLASSIFIER_KINDS}")
+    try:
+        ClassifierSpec(**cfg["model"]["classifier"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid("model.classifier", str(exc)) from None
     _require(cfg["dataset"]["synthetic"]["warp"] in WARPS,
              "dataset.synthetic.warp", f"must be one of {WARPS}")
     _require(isinstance(cfg["model"]["k"], int) and cfg["model"]["k"] >= 1,

@@ -6,11 +6,15 @@ conftest, which recompute cluster scores directly from member rows.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cackit.cac_engine import (
+    MOVE_TOL,
     CacModel,
     ClusterState,
     apply_move,
@@ -397,6 +401,9 @@ GOLDEN_TRAJECTORIES = [
      "be620909e5237d4566763995fc5feaedfb4fb03df0fc3c54c7c35b0ffac05a42"),
     ((800, 64, 16, 3.0, 4), [751, 591, 436, 33, 22, 9, 3, 4, 8, 3, 5, 1, 0],
      "28a156a3b7ad557e5783df84f71843acd6776c72544594c8112d0be20998c9d0"),
+    # the shape of fit-cac with alpha auto: a training split of 2280 rows
+    ((2280, 10, 4, 3.0, 5), [1943, 509, 87, 66, 28, 1, 0],
+     "5189808f7e0b77cea8ae2fc327b40dd618a4f18f27d59dd457f33f60a4fa69d0"),
 ]
 
 
@@ -411,6 +418,85 @@ class TestGoldenTrajectory:
         assert run.moves_per_round == moves
         final = np.ascontiguousarray(run.state.assignments, dtype="<i8").tobytes()
         assert hashlib.sha256(final).hexdigest() == digest
+
+
+def reference_descent(ds, k, alpha, init, max_rounds):
+    """The descent one point and one candidate cluster at a time, through the
+    public move arithmetic only: what `cac_fit` must reproduce bit for bit."""
+    state = ClusterState.from_assignments(ds, init, k, alpha)
+    trace = [total_cost(state, ds)]
+    moves_per_round, applied = [], []
+    for _ in range(max_rounds):
+        moves = 0
+        for i in range(ds.n_samples):
+            p = int(state.assignments[i])
+            if not can_remove(state, ds, p, i):
+                continue
+            deltas = [np.inf if q == p else move_cost_change(state, ds, i, p, q)
+                      for q in range(k)]
+            q = int(np.argmin(deltas))
+            if deltas[q] < -MOVE_TOL:
+                apply_move(state, ds, i, p, q)
+                applied.append((i, p, q, deltas[q]))
+                moves += 1
+        moves_per_round.append(moves)
+        trace.append(total_cost(state, ds))
+        if moves == 0:
+            break
+    return state.assignments, moves_per_round, trace, applied
+
+
+class TestBlockScreening:
+    # every explicit example has an odd n, never a multiple of a block size
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 90), d=st.integers(1, 5), k_pick=st.floats(0.0, 1.0),
+           alpha=st.sampled_from([0.0, 0.5, 3.0]), pos_frac=st.sampled_from([0.5, 0.15, 0.03]),
+           duplicates=st.booleans(), seed=st.integers(0, 10**6))
+    @example(n=61, d=3, k_pick=0.0, alpha=0.5, pos_frac=0.5, duplicates=False, seed=1)  # k=1
+    @example(n=45, d=2, k_pick=0.96, alpha=0.5, pos_frac=0.5, duplicates=False, seed=2)  # k near n
+    @example(n=89, d=4, k_pick=0.1, alpha=3.0, pos_frac=0.03, duplicates=False, seed=3)
+    @example(n=77, d=2, k_pick=0.06, alpha=0.0, pos_frac=0.5, duplicates=True, seed=4)
+    @example(n=83, d=3, k_pick=0.05, alpha=3.0, pos_frac=0.15, duplicates=True, seed=5)
+    def test_fit_equals_the_one_point_reference(self, n, d, k_pick, alpha, pos_frac,
+                                                duplicates, seed):
+        rng = np.random.default_rng(seed)
+        k = 1 + int(k_pick * (n - 1))
+        if duplicates:
+            # few distinct rows: exact ties between candidate clusters
+            feats = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+        else:
+            feats = rng.normal(size=(n, d)) + 3.0 * rng.integers(0, 3, size=(n, 1))
+        labels = (rng.random(n) < pos_frac).astype(np.int64)
+        labels[rng.choice(n, 2, replace=False)] = [0, 1]
+        init = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+        rng.shuffle(init)
+        ds = LabeledDataset.from_arrays(feats, labels)
+
+        applied = []
+        run = cac_fit(ds, k, alpha, max_rounds=8, init_assignments=init,
+                      on_move=lambda state, i, p, q, delta: applied.append((i, p, q, delta)))
+        assign, moves, trace, want = reference_descent(ds, k, alpha, init, 8)
+        assert applied == want  # the same moves with bit-identical deltas
+        assert run.moves_per_round == moves
+        np.testing.assert_array_equal(run.state.assignments, assign)
+        assert run.cost_trace == trace
+
+    @pytest.mark.parametrize("from_fixed_point", [False, True])
+    def test_fit_memory_stays_bounded(self, from_fixed_point):
+        # scoring a block of rows against every cluster must not grow with n;
+        # from a fixed point nothing moves, so the blocks grow to their cap
+        ds = make_classification(SyntheticSpec(n_samples=1140, n_features=64, n_clusters=2,
+                                               ics=1.0, ocs=2.0, seed=0))
+        init = cac_fit(ds, 16, 0.5, seed=0).state.assignments if from_fixed_point else None
+        tracemalloc.start()
+        try:
+            run = cac_fit(ds, 16, 0.5, max_rounds=2, seed=0, init_assignments=init)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        if from_fixed_point:
+            assert run.moves_per_round == [0]
 
 
 class TestDrift:

@@ -119,6 +119,16 @@ class TestConfigValidation:
         assert main(["fit-cac", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("field,value", [("epochs", 0), ("learning_rate", "fast"),
+                                             ("kind", "forest")])
+    def test_bad_classifier_value_is_exit_code_two(self, tmp_path, field, value):
+        cfg = write_config(tmp_path / "c.yaml", **{"model.baseline": "km",
+                                                   f"model.classifier.{field}": value})
+        assert main(["baseline", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        with pytest.raises(ConfigInvalid, match="model.classifier"):
+            validate_config(yaml.safe_load(cfg.read_text()))
+
     def test_runtime_failure_is_exit_code_three(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", **{"model.k": 500})
         assert main(["fit-cac", "--config", str(cfg),
