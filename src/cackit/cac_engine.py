@@ -44,8 +44,8 @@ class ClusterState:
     """Incremental bookkeeping for one clustering of a binary dataset.
 
     Member counts and centroids per cluster, and per-class counts (2, k) and
-    centroids (2, k, d) indexed by label; `pos_*`/`neg_*` are read-only views
-    of labels 1 and 0. An absent class keeps a zero row and a zero count so
+    centroids (2, k, d) indexed by label, so row 1 holds the positives and
+    row 0 the negatives. An absent class keeps a zero row and a zero count so
     incremental updates stay uniform.
     """
 
@@ -77,11 +77,6 @@ class ClusterState:
     @property
     def k(self) -> int:
         return self.sizes.shape[0]
-
-    pos_counts = property(lambda self: self.class_counts[1])
-    neg_counts = property(lambda self: self.class_counts[0])
-    pos_centroids = property(lambda self: self.class_centroids[1])
-    neg_centroids = property(lambda self: self.class_centroids[0])
 
     def separation_sq(self, j: int) -> float:
         """Squared distance between the class centroids; 0 if a class is absent."""

@@ -58,18 +58,14 @@ def _augment(x: np.ndarray) -> np.ndarray:
     return np.hstack([x, np.ones((x.shape[0], 1))])
 
 
-def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t, dtype=np.float64)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+def _sigmoid(t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-t)) from e = exp(-|t|), evaluated stably."""
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _softplus(t: np.ndarray) -> np.ndarray:
-    """log(1 + exp(t)) evaluated stably."""
-    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+def _softplus(t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """log(1 + exp(t)) from e = exp(-|t|), evaluated stably."""
+    return np.maximum(t, 0.0) + np.log1p(e)
 
 
 def logreg_loss_grad(x_aug: np.ndarray, y: np.ndarray, beta: np.ndarray,
@@ -80,9 +76,10 @@ def logreg_loss_grad(x_aug: np.ndarray, y: np.ndarray, beta: np.ndarray,
     t = x.beta, which stays finite for any t.
     """
     t = x_aug @ beta
-    loss = float((_softplus(t) - y * t).sum())
+    e = np.exp(-np.abs(t))
+    loss = float((_softplus(t, e) - y * t).sum())
     penalty = 0.5 * l2 * float(beta[:-1] @ beta[:-1])
-    grad = x_aug.T @ (_sigmoid(t) - y)
+    grad = x_aug.T @ (_sigmoid(t, e) - y)
     grad[:-1] += l2 * beta[:-1]
     return loss + penalty, grad
 
@@ -200,7 +197,8 @@ def predict_proba_batch(clf: TrainedClassifier, x: np.ndarray) -> np.ndarray:
             order = np.argsort(diff.sum(axis=2), axis=1, kind="stable")[:, :k]
             out[start:start + step] = clf.train_labels[order].mean(axis=1)
         return out
-    return _sigmoid(_augment(x) @ clf.weights)
+    t = _augment(x) @ clf.weights
+    return _sigmoid(t, np.exp(-np.abs(t)))
 
 
 def predict_proba(clf: TrainedClassifier, x: np.ndarray) -> float:
@@ -228,14 +226,14 @@ def logloss_bounds(x: np.ndarray, y: np.ndarray, beta: np.ndarray) -> tuple[floa
     if n_pos == 0 or n_neg == 0:
         raise OneClassOnly("both classes are required")
     t = x @ beta
-    actual = float((_softplus(t) - yv * t).sum())
+    actual = float((_softplus(t, np.exp(-np.abs(t))) - yv * t).sum())
     c = float(np.abs(t).max())
     n = x.shape[0]
     mu_pos = x[yv == 1].mean(axis=0)
     mu_neg = x[yv == 0].mean(axis=0)
     centroid_term = 0.5 * (n_pos * float(beta @ mu_pos) - n_neg * float(beta @ mu_neg))
     lower = n * math.log(2.0) - centroid_term
-    upper = n * (float(_softplus(np.array(c))) - c / 2.0) - centroid_term
+    upper = n * (float(_softplus(c, np.exp(-c))) - c / 2.0) - centroid_term
     return lower, upper, actual
 
 

@@ -117,6 +117,10 @@ def _merge(defaults: dict, given: dict, path: str) -> dict:
     return out
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(cond: bool, field: str, reason: str) -> None:
     if not cond:
         raise ConfigInvalid(field, reason)
@@ -136,9 +140,15 @@ def validate_config(raw: dict) -> dict:
         raise ConfigInvalid("model.classifier", str(exc)) from None
     _require(cfg["dataset"]["synthetic"]["warp"] in WARPS,
              "dataset.synthetic.warp", f"must be one of {WARPS}")
-    _require(isinstance(cfg["model"]["k"], int) and cfg["model"]["k"] >= 1,
-             "model.k", "must be a positive integer")
-    alpha = cfg["model"]["alpha"]
+    model = cfg["model"]
+    _require(_is_int(model["k"]) and model["k"] >= 1, "model.k", "must be a positive integer")
+    _require(_is_int(model["max_rounds"]) and model["max_rounds"] >= 0,
+             "model.max_rounds", "must be a non-negative integer")
+    grid = model["alpha_grid"]
+    _require(isinstance(grid, list) and grid
+             and all(isinstance(a, float) or _is_int(a) for a in grid),
+             "model.alpha_grid", "must be a non-empty list of numbers")
+    alpha = model["alpha"]
     _require(alpha == "auto" or isinstance(alpha, (int, float)),
              "model.alpha", "must be a number or 'auto'")
     _require(isinstance(cfg["seeds"], list) and cfg["seeds"]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,16 +12,19 @@ from .errors import NoPositives, OneClassOnly
 DECISION_THRESHOLD = 0.5
 
 
+def _group_ends(sorted_scores: np.ndarray) -> np.ndarray:
+    """End index (exclusive) of each run of equal values in a sorted array."""
+    return np.append(np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1,
+                     sorted_scores.size)
+
+
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing the mean rank of their group."""
     order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
+    ends = _group_ends(scores[order])
+    starts = np.concatenate(([0], ends[:-1]))
     ranks = np.empty(scores.size, dtype=np.float64)
-    start = 0
-    for stop in range(1, scores.size + 1):
-        if stop == scores.size or sorted_scores[stop] != sorted_scores[start]:
-            ranks[order[start:stop]] = 0.5 * (start + stop + 1)
-            start = stop
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
     return ranks
 
 
@@ -47,43 +49,14 @@ def auprc(scores, labels) -> float:
     if n_pos == 0:
         raise NoPositives("AUPRC is undefined without positive labels")
     order = np.argsort(-s, kind="mergesort")
-    s_sorted = s[order]
     y_sorted = y[order]
-    ap = 0.0
-    tp = fp = 0
-    prev_tp = 0
-    start = 0
-    for stop in range(1, s.size + 1):
-        if stop == s.size or s_sorted[stop] != s_sorted[start]:
-            group = y_sorted[start:stop]
-            tp += int((group == 1).sum())
-            fp += int((group == 0).sum())
-            precision = tp / (tp + fp)
-            ap += precision * (tp - prev_tp) / n_pos
-            prev_tp = tp
-            start = stop
-    return float(ap)
-
-
-def _binary_f1(pred: np.ndarray, y: np.ndarray, positive: int) -> float:
-    tp = int(((pred == positive) & (y == positive)).sum())
-    fp = int(((pred == positive) & (y != positive)).sum())
-    fn = int(((pred != positive) & (y == positive)).sum())
-    denom = 2 * tp + fp + fn
-    return 0.0 if denom == 0 else 2.0 * tp / denom
-
-
-def f1(pred, labels, n_classes: int = 2) -> float:
-    """F1 of class 1 for binary labels, macro one-vs-rest average otherwise.
-
-    Degenerate cases (no predicted and no actual members of a class) score 0
-    for that class.
-    """
-    p = np.asarray(pred, dtype=np.int64)
-    y = np.asarray(labels, dtype=np.int64)
-    if n_classes == 2:
-        return _binary_f1(p, y, 1)
-    return float(np.mean([_binary_f1(p, y, c) for c in range(n_classes)]))
+    last = _group_ends(s[order]) - 1
+    tp = np.cumsum(y_sorted == 1)[last]
+    fp = np.cumsum(y_sorted == 0)[last]
+    terms = tp / (tp + fp) * np.diff(tp, prepend=0) / n_pos
+    # accumulate adds in sequence, one threshold group at a time; np.sum adds
+    # pairwise and would round differently
+    return float(np.add.accumulate(terms)[-1])
 
 
 def confusion(pred, labels, n_classes: int) -> np.ndarray:
@@ -93,6 +66,27 @@ def confusion(pred, labels, n_classes: int) -> np.ndarray:
     out = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(out, (y, p), 1)
     return out
+
+
+def _f1(cm: np.ndarray) -> float:
+    """F1 of class 1 from a 2x2 confusion matrix, macro one-vs-rest otherwise.
+
+    A class with no predicted and no actual members scores 0.
+    """
+    tp = np.diag(cm)
+    denom = cm.sum(axis=0) + cm.sum(axis=1)
+    per_class = np.divide(2.0 * tp, denom, out=np.zeros(tp.size), where=denom > 0)
+    return float(per_class[1]) if cm.shape[0] == 2 else float(per_class.mean())
+
+
+def f1(pred, labels, n_classes: int = 2) -> float:
+    """F1 of class 1 for binary labels, macro one-vs-rest average otherwise.
+
+    Predictions and labels are class indices in [0, n_classes). Degenerate
+    cases (no predicted and no actual members of a class) score 0 for that
+    class.
+    """
+    return _f1(confusion(pred, labels, n_classes))
 
 
 @dataclass
@@ -118,37 +112,19 @@ class EvalReport:
             "silhouette": self.silhouette,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @staticmethod
-    def csv_header() -> list[str]:
-        return ["auc", "auprc", "f1", "n_test", "silhouette"]
-
-    def csv_row(self) -> list[str]:
-        sil = "" if self.silhouette is None else repr(float(self.silhouette))
-        return [repr(float(self.auc)), repr(float(self.auprc)), repr(float(self.f1)),
-                str(self.n_test), sil]
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        return cls(d["auc"], d["auprc"], d["f1"], d["n_test"], list(d["support"]),
-                   [list(r) for r in d["confusion"]], d.get("silhouette"))
-
 
 def evaluate_binary(scores, labels, silhouette: float | None = None) -> EvalReport:
     """Report for positive-class scores; labels are predicted 1 at score >= 0.5."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    pred = (s >= DECISION_THRESHOLD).astype(np.int64)
-    support = [int((y == c).sum()) for c in (0, 1)]
+    cm = confusion((s >= DECISION_THRESHOLD).astype(np.int64), y, 2)
     return EvalReport(
         auc=auc(s, y),
         auprc=auprc(s, y),
-        f1=f1(pred, y, 2),
+        f1=_f1(cm),
         n_test=int(y.size),
-        support=support,
-        confusion=confusion(pred, y, 2).tolist(),
+        support=cm.sum(axis=1).tolist(),
+        confusion=cm.tolist(),
         silhouette=silhouette,
     )
 
@@ -177,13 +153,13 @@ def evaluate_multiclass(proba, labels, n_classes: int, silhouette: float | None 
         mask = (y == c).astype(np.int64)
         if 0 < mask.sum() < y.size:
             aucs.append(auc(p[:, c], mask))
-    support = [int((y == c).sum()) for c in range(n_classes)]
+    cm = confusion(pred, y, n_classes)
     return EvalReport(
         auc=float(np.mean(aucs)) if aucs else 0.5,
         auprc=macro_auprc(p, y, n_classes),
-        f1=f1(pred, y, n_classes),
+        f1=_f1(cm),
         n_test=int(y.size),
-        support=support,
-        confusion=confusion(pred, y, n_classes).tolist(),
+        support=cm.sum(axis=1).tolist(),
+        confusion=cm.tolist(),
         silhouette=silhouette,
     )

@@ -133,8 +133,8 @@ class TestOracleEquivalence:
                         rel_err(gm, want_gm),
                         rel_err(phi, after - before),
                         rel_err(state.centroids, fresh.centroids),
-                        rel_err(state.pos_centroids, fresh.pos_centroids),
-                        rel_err(state.neg_centroids, fresh.neg_centroids))
+                        rel_err(state.class_centroids[1], fresh.class_centroids[1]),
+                        rel_err(state.class_centroids[0], fresh.class_centroids[0]))
         elapsed = time.perf_counter() - start
         ok = worst < 1e-8 and elapsed < 30.0
         _record(acceptance_log, 1, ok,

@@ -236,8 +236,8 @@ class TestApplyMove:
         apply_move(state, ds, i, q, p)
         fresh = ClusterState.from_assignments(ds, assign, k, 0.8)
         assert rel_err(state.centroids, fresh.centroids) < 1e-9
-        assert rel_err(state.pos_centroids, fresh.pos_centroids) < 1e-9
-        assert rel_err(state.neg_centroids, fresh.neg_centroids) < 1e-9
+        assert rel_err(state.class_centroids[1], fresh.class_centroids[1]) < 1e-9
+        assert rel_err(state.class_centroids[0], fresh.class_centroids[0]) < 1e-9
         np.testing.assert_array_equal(state.sizes, fresh.sizes)
 
     def test_thousand_random_moves_track_scratch_rebuild(self, rng):
@@ -257,10 +257,10 @@ class TestApplyMove:
             current[i] = q
         fresh = ClusterState.from_assignments(ds, current, k, 1.3)
         assert rel_err(state.centroids, fresh.centroids) < 1e-9
-        assert rel_err(state.pos_centroids, fresh.pos_centroids) < 1e-9
-        assert rel_err(state.neg_centroids, fresh.neg_centroids) < 1e-9
+        assert rel_err(state.class_centroids[1], fresh.class_centroids[1]) < 1e-9
+        assert rel_err(state.class_centroids[0], fresh.class_centroids[0]) < 1e-9
         np.testing.assert_array_equal(state.assignments, fresh.assignments)
-        np.testing.assert_array_equal(state.pos_counts, fresh.pos_counts)
+        np.testing.assert_array_equal(state.class_counts[1], fresh.class_counts[1])
 
     def test_positive_move_leaves_negative_centroids_untouched(self, rng):
         ds, assign, k = random_instance(rng, max_n=50, max_d=4)
@@ -274,10 +274,10 @@ class TestApplyMove:
                 i = int(cand)
                 break
         assert i is not None
-        before = state.neg_centroids.copy()
+        before = state.class_centroids[0].copy()
         p = int(assign[i])
         apply_move(state, ds, i, p, (p + 1) % k)
-        np.testing.assert_array_equal(state.neg_centroids, before)
+        np.testing.assert_array_equal(state.class_centroids[0], before)
 
     def test_illegal_moves_rejected(self):
         feats = np.array([[0.0], [1.0], [5.0], [6.0]])
@@ -295,10 +295,10 @@ class TestStateInvariants:
     def test_centroid_decomposition(self, rng):
         ds, assign, k = random_instance(rng, max_n=100)
         state = ClusterState.from_assignments(ds, assign, k, 0.4)
-        np.testing.assert_array_equal(state.sizes, state.pos_counts + state.neg_counts)
+        np.testing.assert_array_equal(state.sizes, state.class_counts[1] + state.class_counts[0])
         assert int(state.sizes.sum()) == ds.n_samples
-        recomposed = (state.pos_counts[:, None] * state.pos_centroids
-                      + state.neg_counts[:, None] * state.neg_centroids)
+        recomposed = (state.class_counts[1][:, None] * state.class_centroids[1]
+                      + state.class_counts[0][:, None] * state.class_centroids[0])
         assert rel_err(state.sizes[:, None] * state.centroids, recomposed) < 1e-9
 
 
@@ -344,7 +344,7 @@ class TestCacFit:
 
         def check(state, i, p, q, delta):
             assert (state.sizes >= 1).all()
-            assert (state.pos_counts + state.neg_counts == state.sizes).all()
+            assert (state.class_counts[1] + state.class_counts[0] == state.sizes).all()
 
         cac_fit(ds, 3, 1.0, seed=4, on_move=check)
 
@@ -510,10 +510,12 @@ class TestDrift:
 
         def compare(state):
             fresh = ClusterState.from_assignments(ds, state.assignments, k, alpha)
-            for name in ("sizes", "pos_counts", "neg_counts"):
-                np.testing.assert_array_equal(getattr(state, name), getattr(fresh, name))
-            for name in ("centroids", "pos_centroids", "neg_centroids"):
-                assert rel_err(getattr(state, name), getattr(fresh, name)) < 1e-8
+            np.testing.assert_array_equal(state.sizes, fresh.sizes)
+            np.testing.assert_array_equal(state.class_counts, fresh.class_counts)
+            for got, want in ((state.centroids, fresh.centroids),
+                              (state.class_centroids[1], fresh.class_centroids[1]),
+                              (state.class_centroids[0], fresh.class_centroids[0])):
+                assert rel_err(got, want) < 1e-8
 
         def watch(state, i, p, q, delta):
             seen.append(state)

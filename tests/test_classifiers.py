@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from cackit import cluster_core
 from cackit.classifiers import (
     ClassifierSpec,
+    _sigmoid,
+    _softplus,
     classifier_from_dict,
     classifier_to_dict,
     constant_classifier,
@@ -82,6 +84,40 @@ class TestLogreg:
             fd = central_difference(lambda b: logreg_loss_grad(xa, yv, b, l2)[0],
                                     beta, h=1e-6)
             assert rel_err(grad, fd) < 1e-6
+
+    @staticmethod
+    def _two_exp_sigmoid_softplus(t):
+        """The masked sigmoid and the separate softplus that one exp(-|t|) replaced."""
+        sig = np.empty_like(t)
+        pos = t >= 0
+        sig[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+        e = np.exp(t[~pos])
+        sig[~pos] = e / (1.0 + e)
+        return sig, np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+
+    def test_shared_exp_matches_the_two_exp_form(self, rng):
+        t = np.array([0.0, -0.0, 1e-300, -1e-300, 36.8, -36.8, 709.9, -709.9,
+                      710.5, -710.5, 745.2, -745.2, 1e4, -1e4])
+        e = np.exp(-np.abs(t))
+        sig, softplus = self._two_exp_sigmoid_softplus(t)
+        np.testing.assert_array_equal(_sigmoid(t, e), sig)
+        np.testing.assert_array_equal(_softplus(t, e), softplus)
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(30):
+                n, d = int(rng.integers(1, 60)), int(rng.integers(1, 8))
+                xa = _augmented(rng.normal(size=(n, d)) * scale)
+                yv = rng.integers(0, 2, size=n).astype(float)
+                beta = rng.normal(size=d + 1)
+                l2 = float(rng.uniform(0, 0.5))
+                t = xa @ beta
+                sig, softplus = self._two_exp_sigmoid_softplus(t)
+                want_grad = xa.T @ (sig - yv)
+                want_grad[:-1] += l2 * beta[:-1]
+                want_loss = (float((softplus - yv * t).sum())
+                             + 0.5 * l2 * float(beta[:-1] @ beta[:-1]))
+                loss, grad = logreg_loss_grad(xa, yv, beta, l2)
+                assert loss == want_loss
+                np.testing.assert_array_equal(grad, want_grad)
 
     def test_more_epochs_never_hurt_training_loss(self, rng):
         feats, labels = binary_blobs(rng, n=60, d=2, gap=1.0)

