@@ -32,6 +32,7 @@ from .errors import (
     WouldCreateOneClassCluster,
     WouldEmptyCluster,
 )
+from .metrics import DECISION_THRESHOLD
 
 DEFAULT_MAX_ROUNDS = 100
 # a move must beat this margin; guards the strict-descent property against roundoff
@@ -320,12 +321,12 @@ def assign_cluster(model: CacModel, x: np.ndarray) -> int:
 
 
 def cac_predict(model: CacModel, x: np.ndarray) -> tuple[int, float]:
-    """Route to the nearest centroid, score there; label 1 iff score >= 0.5."""
+    """Route to the nearest centroid, score there; label 1 iff score >= DECISION_THRESHOLD."""
     if not model.classifiers:
         raise UntrainedModel("model has no per-cluster classifiers")
     j = assign_cluster(model, x)
     score = _clf.predict_proba(model.classifiers[j], np.asarray(x, dtype=np.float64))
-    return (1 if score >= 0.5 else 0, float(score))
+    return (1 if score >= DECISION_THRESHOLD else 0, float(score))
 
 
 def cac_predict_batch(model: CacModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -338,7 +339,7 @@ def cac_predict_batch(model: CacModel, features: np.ndarray) -> tuple[np.ndarray
     for j in np.unique(routes):
         rows = routes == j
         scores[rows] = _clf.predict_proba_batch(model.classifiers[j], x[rows])
-    labels = (scores >= 0.5).astype(np.int64)
+    labels = (scores >= DECISION_THRESHOLD).astype(np.int64)
     return labels, scores
 
 

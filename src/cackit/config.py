@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import copy
+import math
 
 import yaml
 
 from .classifiers import ClassifierSpec
-from .errors import ConfigInvalid
+from .dataset import SplitSpec, SyntheticSpec
+from .errors import ConfigInvalid, InvalidSpec
 
 TASKS = ("synth", "fit-cac", "fit-deepcac", "baseline", "sweep")
 BASELINES = ("km", "bare", "kmz")
-WARPS = ("none", "sin")
 
 # every recognized key with its default; unknown keys are rejected outright
 DEFAULTS: dict = {
@@ -121,9 +122,24 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
 def _require(cond: bool, field: str, reason: str) -> None:
     if not cond:
         raise ConfigInvalid(field, reason)
+
+
+def _check_sections(cfg: dict) -> None:
+    """Build the spec that consumes each spec-backed section, so its rules reject bad values."""
+    for field, spec, section in (("split", SplitSpec, cfg["split"]),
+                                 ("dataset.synthetic", SyntheticSpec, cfg["dataset"]["synthetic"]),
+                                 ("model.classifier", ClassifierSpec, cfg["model"]["classifier"])):
+        try:
+            spec(**section)
+        except (TypeError, ValueError, InvalidSpec) as exc:
+            raise ConfigInvalid(field, str(exc)) from None
 
 
 def validate_config(raw: dict) -> dict:
@@ -134,27 +150,25 @@ def validate_config(raw: dict) -> dict:
     _require(cfg["version"] == 1, "version", f"unsupported version {cfg['version']!r}")
     _require(cfg["task"] in TASKS, "task", f"must be one of {TASKS}")
     _require(cfg["model"]["baseline"] in BASELINES, "model.baseline", f"must be one of {BASELINES}")
-    try:
-        ClassifierSpec(**cfg["model"]["classifier"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid("model.classifier", str(exc)) from None
-    _require(cfg["dataset"]["synthetic"]["warp"] in WARPS,
-             "dataset.synthetic.warp", f"must be one of {WARPS}")
+    _check_sections(cfg)
     model = cfg["model"]
     _require(_is_int(model["k"]) and model["k"] >= 1, "model.k", "must be a positive integer")
     _require(_is_int(model["max_rounds"]) and model["max_rounds"] >= 0,
              "model.max_rounds", "must be a non-negative integer")
     grid = model["alpha_grid"]
-    _require(isinstance(grid, list) and grid
-             and all(isinstance(a, float) or _is_int(a) for a in grid),
-             "model.alpha_grid", "must be a non-empty list of numbers")
+    _require(isinstance(grid, list) and grid and all(_is_number(a) for a in grid),
+             "model.alpha_grid", "must be a non-empty list of finite numbers")
     alpha = model["alpha"]
-    _require(alpha == "auto" or isinstance(alpha, (int, float)),
-             "model.alpha", "must be a number or 'auto'")
-    _require(isinstance(cfg["seeds"], list) and cfg["seeds"]
-             and all(isinstance(s, int) for s in cfg["seeds"]),
+    _require(alpha == "auto" or _is_number(alpha), "model.alpha", "must be a finite number or 'auto'")
+    _require(isinstance(cfg["seeds"], list) and cfg["seeds"] and all(_is_int(s) for s in cfg["seeds"]),
              "seeds", "must be a non-empty list of integers")
-    _require(cfg["model"]["deepcac"]["delta"] > 0, "model.deepcac.delta", "must be positive")
+    deep = model["deepcac"]
+    _require(deep["delta"] > 0, "model.deepcac.delta", "must be positive")
+    # sizes must be positive; epoch counts may be zero
+    for key, low in (("batch_size", 1), ("hidden", 1), ("latent", 1), ("local_hidden", 1),
+                     ("patience", 1), ("epochs", 0), ("pretrain_epochs", 0), ("local_epochs", 0)):
+        _require(_is_int(deep[key]) and deep[key] >= low, f"model.deepcac.{key}",
+                 f"must be an integer >= {low}")
     _require(cfg["sweep"]["task"] in ("fit-cac", "fit-deepcac", "baseline"),
              "sweep.task", "must be a runnable per-seed task")
     axes = cfg["sweep"]["axes"]
@@ -163,36 +177,30 @@ def validate_config(raw: dict) -> dict:
         _require(isinstance(values, list) and values,
                  f"sweep.axes.{name}", "must be a non-empty list")
         resolve_axis(name)  # raises on unknown axes
-    for frac in ("train_frac", "val_frac", "test_frac"):
-        _require(0 < cfg["split"][frac] < 1, f"split.{frac}", "must lie in (0, 1)")
     return cfg
+
+
+def _walk(node: dict, dotted: str, field: str, reason: str) -> tuple[dict, str]:
+    """The mapping that holds a dotted path's last key, and that key; the path must exist."""
+    *parents, key = dotted.split(".")
+    for part in parents:
+        node = node.get(part) if isinstance(node, dict) else None
+    if not isinstance(node, dict) or key not in node:
+        raise ConfigInvalid(field, reason)
+    return node, key
 
 
 def resolve_axis(name: str) -> str:
     """Map a sweep axis name (alias or dotted path) to its config path."""
     path = AXIS_ALIASES.get(name, name)
-    node = DEFAULTS
-    parts = path.split(".")
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigInvalid(f"sweep.axes.{name}", f"no config entry at {path!r}")
-        node = node[part]
-    if not isinstance(node, dict) or parts[-1] not in node:
-        raise ConfigInvalid(f"sweep.axes.{name}", f"no config entry at {path!r}")
+    _walk(DEFAULTS, path, f"sweep.axes.{name}", f"no config entry at {path!r}")
     return path
 
 
 def set_path(cfg: dict, dotted: str, value) -> None:
     """Apply one --set override; the path must already exist in the schema."""
-    parts = dotted.split(".")
-    node = cfg
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigInvalid(dotted, "unknown config path")
-        node = node[part]
-    if not isinstance(node, dict) or parts[-1] not in node:
-        raise ConfigInvalid(dotted, "unknown config path")
-    node[parts[-1]] = value
+    node, key = _walk(cfg, dotted, dotted, "unknown config path")
+    node[key] = value
 
 
 def parse_override(text: str) -> tuple[str, object]:

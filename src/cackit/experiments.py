@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from . import cac_engine, classifiers, metrics, neural
 from .cluster_core import silhouette
-from .config import resolve_axis, set_path
+from .config import resolve_axis, set_path, validate_config
 from .dataset import (
     LabeledDataset,
     SplitSpec,
@@ -60,9 +60,7 @@ def prepare_data(cfg: dict, run_seed: int) -> tuple[LabeledDataset, LabeledDatas
     else:
         ds = make_classification(_synthetic_spec(cfg, run_seed))
     sp = cfg["split"]
-    train, val, test = split(ds, SplitSpec(sp["train_frac"], sp["val_frac"], sp["test_frac"],
-                                           seed=sp["seed"] + run_seed,
-                                           stratified=sp["stratified"]))
+    train, val, test = split(ds, SplitSpec(**dict(sp, seed=sp["seed"] + run_seed)))
     if d["standardize"]:
         train, mean, std = standardize(train)
         val = apply_standardization(val, mean, std)
@@ -246,8 +244,9 @@ def _grid_key(axes: list[str], values: tuple) -> str:
     return "_".join(f"{a}-{v}" for a, v in zip(axes, values)).replace("/", "-")
 
 
-def _sweep_runs(cfg: dict) -> list[tuple[str, dict, int]]:
-    """Expand the sweep grid: (grid key, per-run config, seed), in grid order."""
+def _sweep_runs(cfg: dict) -> list[tuple[str, tuple, dict, int]]:
+    """Expand the sweep grid into (grid key, axis values, per-run config, seed) in grid
+    order, validating every cell's config before any run starts."""
     axes = list(cfg["sweep"]["axes"].keys())
     paths = [resolve_axis(a) for a in axes]
     value_lists = [cfg["sweep"]["axes"][a] for a in axes]
@@ -257,52 +256,42 @@ def _sweep_runs(cfg: dict) -> list[tuple[str, dict, int]]:
         raise ConfigInvalid("sweep.max_runs", f"grid needs {total} runs, cap is {cfg['sweep']['max_runs']}")
     runs = []
     for combo in combos:
-        run_cfg = copy.deepcopy(cfg)
-        run_cfg["task"] = cfg["sweep"]["task"]
+        cell = copy.deepcopy(cfg)
+        cell["task"] = cfg["sweep"]["task"]
         for path, value in zip(paths, combo):
-            set_path(run_cfg, path, value)
+            set_path(cell, path, value)
         key = _grid_key(axes, combo) or "all"
-        for seed in cfg["seeds"]:
-            runs.append((key, run_cfg, seed))
+        try:
+            run_cfg = validate_config(cell)
+        except ConfigInvalid as exc:
+            raise ConfigInvalid(exc.field, f"{exc.reason} (sweep cell {key!r})") from None
+        runs.extend((key, combo, run_cfg, seed) for seed in cfg["seeds"])
     return runs
-
-
-def _run_one(args: tuple[str, dict, int]) -> tuple[str, int, dict, str | None]:
-    key, run_cfg, seed = args
-    report, model_json = run_single(run_cfg, seed)
-    return key, seed, report, model_json
 
 
 def run_sweep(cfg: dict, out_dir: Path, jobs: int = 1) -> list[dict]:
     """Run the whole grid, write per-run reports and the merged sweep.csv."""
     runs = _sweep_runs(cfg)
+    _, _, run_cfgs, seeds = zip(*runs)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_one, runs))
+            results = list(pool.map(run_single, run_cfgs, seeds))
     else:
-        results = [_run_one(r) for r in runs]
+        results = list(map(run_single, run_cfgs, seeds))
 
     axes = list(cfg["sweep"]["axes"].keys())
     rows = []
-    for (key, run_cfg, seed), (_, _, report, model_json) in zip(runs, results):
+    for (key, combo, _, seed), (report, model_json) in zip(runs, results):
         _write_json(out_dir / "runs" / key / str(seed) / "report.json", report)
         if model_json is not None and cfg["sweep"]["save_models"]:
             path = out_dir / "models" / f"{key}__s{seed}.json"
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(model_json, encoding="utf-8")
-        axis_values = [_get_path(run_cfg, resolve_axis(a)) for a in axes]
-        rows.append(axis_values + [seed] + [_metric_cell(report["metrics"], m)
+        rows.append(list(combo) + [seed] + [_metric_cell(report["metrics"], m)
                                             for m in SWEEP_CSV_METRICS])
     header = axes + ["seed"] + list(SWEEP_CSV_METRICS)
     _write_csv(out_dir / "sweep.csv", header, rows)
-    return [r[2] for r in results]
-
-
-def _get_path(cfg: dict, dotted: str):
-    node = cfg
-    for part in dotted.split("."):
-        node = node[part]
-    return node
+    return [report for report, _ in results]
 
 
 def _metric_cell(metric_dict: dict, name: str) -> str:

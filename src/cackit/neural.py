@@ -441,10 +441,9 @@ def _train_local_nets(encoder: DenseNet, centroids: np.ndarray, ds_train: Labele
     with the pruned centroids and the validation trace.
     """
     z_train = net_forward(encoder, ds_train.features)[0]
-    routes = nearest_centroids(z_train, centroids)
-    keep = [j for j in range(centroids.shape[0]) if (routes == j).any()]
+    # an empty cluster won no row, not even a tie, so dropping it reroutes nothing
+    keep, routes = np.unique(nearest_centroids(z_train, centroids), return_inverse=True)
     centroids = centroids[keep]
-    routes = nearest_centroids(z_train, centroids)
 
     latent = centroids.shape[1]
     nets = [init_dense([latent, hidden, n_classes], rng) for _ in range(centroids.shape[0])]
@@ -577,7 +576,7 @@ def deepcac_predict_batch(model: DeepCacModel, features: np.ndarray) -> tuple[np
     routes = nearest_centroids(z, model.centroids)
     probs = _local_proba(model.local_nets, z, routes, model.n_classes)
     if model.n_classes == 2:
-        labels = (probs[:, 1] >= 0.5).astype(np.int64)
+        labels = (probs[:, 1] >= _metrics.DECISION_THRESHOLD).astype(np.int64)
     else:
         labels = probs.argmax(axis=1)
     return labels, probs

@@ -130,14 +130,55 @@ class TestConfigValidation:
             validate_config(yaml.safe_load(cfg.read_text()))
 
     @pytest.mark.parametrize("field,value", [("alpha_grid", []), ("alpha_grid", ["a"]),
-                                             ("alpha_grid", [True]), ("max_rounds", "x"),
-                                             ("max_rounds", -1), ("k", True)])
+                                             ("alpha_grid", [True]), ("alpha_grid", [0.5, float("nan")]),
+                                             ("alpha_grid", [float("inf")]), ("max_rounds", "x"),
+                                             ("max_rounds", -1), ("k", True), ("alpha", True),
+                                             ("alpha", float("nan")), ("alpha", float("-inf"))])
     def test_bad_model_value_is_exit_code_two(self, tmp_path, field, value):
         cfg = write_config(tmp_path / "c.yaml", **{f"model.{field}": value})
         assert main(["fit-cac", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
         with pytest.raises(ConfigInvalid, match=f"model.{field}"):
             validate_config(yaml.safe_load(cfg.read_text()))
+
+    @pytest.mark.parametrize("overrides,field", [
+        ({"split.train_frac": 0.7, "split.val_frac": 0.18, "split.test_frac": 0.25}, "split"),
+        ({"dataset.synthetic.n_clusters": 70}, "dataset.synthetic"),
+        ({"dataset.synthetic.warp": "cos"}, "dataset.synthetic"),
+        ({"model.alpha": True}, "model.alpha"),
+        ({"seeds": [True]}, "seeds"),
+        ({"model.deepcac.batch_size": 0}, "model.deepcac.batch_size"),
+        ({"model.deepcac.local_epochs": -1}, "model.deepcac.local_epochs"),
+        ({"model.deepcac.hidden": 8.0}, "model.deepcac.hidden"),
+    ], ids=["split-sum", "n-clusters", "warp", "alpha-bool", "seed-bool", "batch-size",
+            "local-epochs", "hidden-float"])
+    def test_bad_value_is_exit_code_two_before_any_run(self, tmp_path, overrides, field):
+        cfg = write_config(tmp_path / "c.yaml", **overrides)
+        out = tmp_path / "out"
+        assert main(["fit-deepcac", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        with pytest.raises(ConfigInvalid) as err:
+            validate_config(yaml.safe_load(cfg.read_text()))
+        assert err.value.field == field
+
+    def test_bad_override_value_is_exit_code_two(self, tmp_path):
+        cfg = write_config(tmp_path / "c.yaml")
+        assert main(["fit-cac", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--set", "split.val_frac=0.3"]) == 2
+
+    @pytest.mark.parametrize("axis,values,field", [
+        ("model.max_rounds", [3, -1], "model.max_rounds"),
+        ("k", [0], "model.k"),
+        ("alpha", [0.5, True], "model.alpha"),
+        ("K", [2, 70], "dataset.synthetic"),
+    ])
+    def test_bad_sweep_cell_fails_before_any_run(self, tmp_path, capsys, axis, values, field):
+        cfg = write_config(tmp_path / "c.yaml", **{"sweep.axes": {axis: values}})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"'{field}'" in err and f"sweep cell '{axis}-{values[-1]}'" in err
 
     def test_zero_max_rounds_still_runs(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", **{"model.max_rounds": 0})

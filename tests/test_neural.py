@@ -449,6 +449,28 @@ class TestDeepCacFit:
         assert 1 <= model.history["clusters_kept"] <= 3
         assert model.k == model.history["clusters_kept"]
 
+    def test_pruning_empty_clusters_reroutes_no_row(self):
+        from cackit.neural import _train_local_nets
+        ds = make_classification(SyntheticSpec(400, 4, 2, 1.0, 2.0, seed=3))
+        train, val, _ = split(ds, SplitSpec(seed=3))
+        params = init_params(4, 8, 3, seed=1)
+        z = encode(params, train.features)
+        live = np.vstack([z[:3], z[5:6]])
+        far = np.full((1, 3), 1e3)
+        padded = np.vstack([far, live[:3], -far, live[3:]])
+
+        def train_nets(centroids):
+            return _train_local_nets(params.encoder, centroids, train, val, 2,
+                                     np.random.default_rng(0), 4, 5, 0.05, 32, 3)
+
+        nets, kept, trace = train_nets(padded)
+        want_nets, want_kept, want_trace = train_nets(live)
+        np.testing.assert_array_equal(kept, live)
+        assert trace == want_trace
+        for net, want in zip(nets, want_nets, strict=True):
+            for a, b in zip(net.weights + net.biases, want.weights + want.biases):
+                np.testing.assert_array_equal(a, b)
+
     def test_kmz_shares_the_pretraining_stage(self):
         deep, _, _ = small_fit(seed=4, epochs=2)
         base, _, _ = small_fit(seed=4, fit=kmz_fit)
