@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import copy
-import math
 
 import yaml
 
 from .classifiers import ClassifierSpec
-from .dataset import SplitSpec, SyntheticSpec
+from .dataset import SplitSpec, SyntheticSpec, _is_int, _is_number
 from .errors import ConfigInvalid, InvalidSpec
 
 TASKS = ("synth", "fit-cac", "fit-deepcac", "baseline", "sweep")
@@ -118,14 +117,6 @@ def _merge(defaults: dict, given: dict, path: str) -> dict:
     return out
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
-
-
 def _require(cond: bool, field: str, reason: str) -> None:
     if not cond:
         raise ConfigInvalid(field, reason)
@@ -163,7 +154,14 @@ def validate_config(raw: dict) -> dict:
     _require(isinstance(cfg["seeds"], list) and cfg["seeds"] and all(_is_int(s) for s in cfg["seeds"]),
              "seeds", "must be a non-empty list of integers")
     deep = model["deepcac"]
-    _require(deep["delta"] > 0, "model.deepcac.delta", "must be positive")
+    # step sizes and the head scale must be positive; loss weights and the margin may be
+    # zero (kmz and the beta sweep axis use 0)
+    for key in ("lr", "local_lr", "delta", "scale"):
+        _require(_is_number(deep[key]) and deep[key] > 0, f"model.deepcac.{key}",
+                 "must be a finite number > 0")
+    for key in ("alpha", "beta", "margin"):
+        _require(_is_number(deep[key]) and deep[key] >= 0, f"model.deepcac.{key}",
+                 "must be a finite number >= 0")
     # sizes must be positive; epoch counts may be zero
     for key, low in (("batch_size", 1), ("hidden", 1), ("latent", 1), ("local_hidden", 1),
                      ("patience", 1), ("epochs", 0), ("pretrain_epochs", 0), ("local_epochs", 0)):

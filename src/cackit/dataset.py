@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +22,17 @@ from .errors import (
 
 # features whose population std falls below this are treated as constant
 CONSTANT_FEATURE_STD = 1e-12
+
+
+def _is_int(value) -> bool:
+    """An integer, numpy integers included, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A finite real number that is not a bool."""
+    return _is_int(value) or (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                              and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -183,8 +195,12 @@ class SplitSpec:
     def __post_init__(self):
         for name in ("train_frac", "val_frac", "test_frac"):
             f = getattr(self, name)
-            if not 0.0 < f < 1.0:
-                raise InvalidSpec(f"{name} must lie strictly between 0 and 1, got {f}")
+            if not (_is_number(f) and 0.0 < f < 1.0):
+                raise InvalidSpec(f"{name} must lie strictly between 0 and 1, got {f!r}")
+        if not _is_int(self.seed):
+            raise InvalidSpec(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.stratified, (bool, np.bool_)):
+            raise InvalidSpec(f"stratified must be a bool, got {self.stratified!r}")
         total = self.train_frac + self.val_frac + self.test_frac
         if abs(total - 1.0) > 1e-9:
             raise InvalidSpec(f"split fractions must sum to 1, got {total}")
@@ -277,6 +293,12 @@ class SyntheticSpec:
     warp: str = "none"
 
     def __post_init__(self):
+        for name in ("n_samples", "n_features", "n_clusters", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise InvalidSpec(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("ics", "ocs"):
+            if not _is_number(getattr(self, name)):
+                raise InvalidSpec(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.n_samples < 1 or self.n_features < 1 or self.n_clusters < 1:
             raise InvalidSpec("n_samples, n_features and n_clusters must be positive")
         if self.n_clusters > self.n_samples / 4:

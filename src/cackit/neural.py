@@ -368,17 +368,35 @@ def update_assignments(state: LatentClusterState, z_batch: np.ndarray,
 
 def update_centroids_online(state: LatentClusterState, z_batch: np.ndarray,
                             indices: np.ndarray) -> LatentClusterState:
-    """Streaming centroid update, one point at a time in batch order.
+    """Streaming centroid update for a whole batch, in closed form.
 
-    Each point moves its cluster's centroid by (z - centroid) / count using
-    the pre-increment counter, then bumps the counter. A counter of 1 makes
-    the centroid jump exactly onto the point.
+    The streaming rule moves a cluster's centroid by (z - centroid) / count
+    for each of its points in batch order, using the pre-increment counter,
+    then bumps the counter. With the batch's assignments fixed, T rows
+    summing to S land a cluster with counter N at
+
+        ((N - 1) * centroid + S) / (N - 1 + T),
+
+    and the counter becomes N + T. This equals the per-point rule in real
+    arithmetic and differs from it in floating point only by roundoff. A
+    counter of 1 still puts the centroid exactly on a lone point, and a
+    cluster with no batch rows keeps its centroid bit for bit. Counters
+    must be at least 1.
     """
     z = np.asarray(z_batch, dtype=np.float64)
-    for row, i in enumerate(np.asarray(indices)):
-        j = int(state.assignments[i])
-        state.centroids[j] += (z[row] - state.centroids[j]) / float(state.counts[j])
-        state.counts[j] += 1
+    k, d = state.centroids.shape
+    assign = state.assignments[np.asarray(indices)]
+    if z.shape != (assign.size, d):
+        raise ShapeMismatch(f"batch shape {z.shape} vs {assign.size} indices and latent dim {d}")
+    hits = np.bincount(assign, minlength=k)
+    # per-cluster row sums, each accumulated in batch order
+    cells = (assign[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(cells, weights=z.ravel(), minlength=k * d).reshape(k, d)
+    moved = np.flatnonzero(hits)
+    prior = (state.counts[moved] - 1.0)[:, None]
+    state.centroids[moved] = ((prior * state.centroids[moved] + sums[moved])
+                              / (prior + hits[moved, None]))
+    state.counts += hits
     return state
 
 

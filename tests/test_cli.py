@@ -150,8 +150,24 @@ class TestConfigValidation:
         ({"model.deepcac.batch_size": 0}, "model.deepcac.batch_size"),
         ({"model.deepcac.local_epochs": -1}, "model.deepcac.local_epochs"),
         ({"model.deepcac.hidden": 8.0}, "model.deepcac.hidden"),
+        ({"model.deepcac.delta": "x"}, "model.deepcac.delta"),
+        ({"model.deepcac.lr": -1.0}, "model.deepcac.lr"),
+        ({"model.deepcac.local_lr": 0.0}, "model.deepcac.local_lr"),
+        ({"model.deepcac.scale": float("inf")}, "model.deepcac.scale"),
+        ({"model.deepcac.margin": float("nan")}, "model.deepcac.margin"),
+        ({"model.deepcac.alpha": -1.0}, "model.deepcac.alpha"),
+        ({"model.deepcac.beta": True}, "model.deepcac.beta"),
+        ({"split.seed": "a"}, "split"),
+        ({"split.seed": True}, "split"),
+        ({"split.stratified": 1}, "split"),
+        ({"dataset.synthetic.ics": float("nan")}, "dataset.synthetic"),
+        ({"dataset.synthetic.n_samples": 240.5}, "dataset.synthetic"),
+        ({"dataset.synthetic.seed": 1.5}, "dataset.synthetic"),
     ], ids=["split-sum", "n-clusters", "warp", "alpha-bool", "seed-bool", "batch-size",
-            "local-epochs", "hidden-float"])
+            "local-epochs", "hidden-float", "delta-str", "lr-negative", "local-lr-zero",
+            "scale-inf", "margin-nan", "deep-alpha-negative", "beta-bool", "split-seed-str",
+            "split-seed-bool", "stratified-int", "ics-nan", "n-samples-float",
+            "synthetic-seed-float"])
     def test_bad_value_is_exit_code_two_before_any_run(self, tmp_path, overrides, field):
         cfg = write_config(tmp_path / "c.yaml", **overrides)
         out = tmp_path / "out"

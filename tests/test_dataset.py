@@ -236,6 +236,17 @@ class TestSyntheticGenerator:
             SyntheticSpec(n_samples=100, n_features=3, n_clusters=2, ics=1.0, ocs=1.0,
                           warp="cube")
 
+    def test_numpy_scalars_accepted(self):
+        spec = SyntheticSpec(n_samples=np.int64(100), n_features=np.int32(3),
+                             n_clusters=np.int64(2), ics=np.float64(1.0), ocs=2, seed=np.int64(5))
+        plain = SyntheticSpec(n_samples=100, n_features=3, n_clusters=2, ics=1.0, ocs=2.0, seed=5)
+        ds = make_classification(spec)
+        np.testing.assert_array_equal(ds.features, make_classification(plain).features)
+        parts = split(ds, SplitSpec(np.float64(0.57), 0.18, 0.25, seed=np.int64(9),
+                                    stratified=np.bool_(True)))
+        for got, want in zip(parts, split(ds, SplitSpec(0.57, 0.18, 0.25, seed=9))):
+            np.testing.assert_array_equal(got.features, want.features)
+
 
 def test_dataset_arrays_are_read_only():
     ds = LabeledDataset.from_arrays(np.zeros((4, 2)), np.array([0, 1, 0, 1]))

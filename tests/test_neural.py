@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cackit.dataset import LabeledDataset, SplitSpec, SyntheticSpec, make_classification, split
 from cackit.cac_engine import CacModel, cac_predict_batch
@@ -85,6 +87,16 @@ def _grad_vector(grads):
     (ew, eb), (dw, db) = grads["encoder"], grads["decoder"]
     arrs = ew + eb + dw + db + [grads["head"]]
     return np.concatenate([a.ravel() for a in arrs])
+
+
+def _online_loop(state, z, indices):
+    """The streaming centroid rule one point at a time in batch order: the
+    reference that the closed-form batch update is held to."""
+    for row, i in enumerate(indices):
+        j = int(state.assignments[i])
+        state.centroids[j] += (z[row] - state.centroids[j]) / float(state.counts[j])
+        state.counts[j] += 1
+    return state
 
 
 def _hidden_preact_margin(params, x):
@@ -393,6 +405,66 @@ class TestLatentClusters:
         d_end = np.linalg.norm(state.centroids[0] - target)
         assert d_end < d_start
         assert d_end < 0.2
+
+
+class TestClosedFormCentroidUpdate:
+    @settings(max_examples=150, deadline=None)
+    @given(sizes=st.lists(st.integers(0, 7), min_size=1, max_size=6),
+           counts=st.lists(st.one_of(st.integers(1, 3), st.integers(1, 10**6)),
+                           min_size=6, max_size=6),
+           d=st.integers(1, 5), log_scale=st.integers(-8, 8), offset=st.floats(-3.0, 3.0),
+           seed=st.integers(0, 10**6))
+    @example(sizes=[0], counts=[1] * 6, d=2, log_scale=0, offset=0.0, seed=0)  # empty batch
+    @example(sizes=[1, 0, 1, 5], counts=[1, 1, 7, 1, 1, 1], d=3, log_scale=6, offset=2.0, seed=1)
+    def test_matches_the_per_point_loop(self, sizes, counts, d, log_scale, offset, seed):
+        rng = np.random.default_rng(seed)
+        k = len(sizes)
+        scale = 2.0 ** (log_scale * 4)
+        centroids = scale * (rng.normal(size=(k, d)) + offset)
+        n_rows = sum(sizes)
+        # batch rows sit among other rows whose assignments the update must ignore
+        indices = rng.permutation(n_rows + 5)[:n_rows]
+        assignments = rng.integers(0, k, n_rows + 5)
+        assignments[indices] = rng.permutation(np.repeat(np.arange(k), sizes))
+        z = scale * (rng.normal(size=(n_rows, d)) + offset)
+
+        def fresh():
+            return LatentClusterState(centroids.copy(), assignments.copy(),
+                                      np.array(counts[:k], dtype=np.int64))
+
+        got = update_centroids_online(fresh(), z, indices)
+        want = _online_loop(fresh(), z, indices)
+        magnitude = max(np.abs(centroids).max(), np.abs(z).max(initial=0.0))
+        assert np.abs(got.centroids - want.centroids).max() <= 1e-12 * magnitude
+        np.testing.assert_array_equal(got.counts, want.counts)
+        assert got.counts.dtype == np.int64
+        np.testing.assert_array_equal(got.assignments, assignments)
+        for j in range(k):
+            if sizes[j] == 0:
+                assert got.centroids[j].tobytes() == centroids[j].tobytes()
+            elif sizes[j] == 1 and counts[j] == 1:
+                row = int(np.flatnonzero(assignments[indices] == j)[0])
+                assert got.centroids[j].tobytes() == z[row].tobytes()
+
+    def test_idle_clusters_keep_their_bits_and_a_lone_point_lands_exactly(self):
+        # values where the per-point rule, c + (z - c) / 1, loses the point to roundoff
+        cents = np.array([[1e20, -3.0], [0.1, 0.2], [7.0, 1e-300]])
+        state = LatentClusterState(cents.copy(), np.array([0, 2, 0]), np.array([1, 4, 9]))
+        z = np.array([[1.0, 0.3]])
+        update_centroids_online(state, z, np.array([0]))
+        assert state.centroids[0].tobytes() == z[0].tobytes()
+        assert state.centroids[1:].tobytes() == cents[1:].tobytes()
+        np.testing.assert_array_equal(state.counts, [2, 4, 9])
+        assert _online_loop(LatentClusterState(cents.copy(), np.array([0, 2, 0]),
+                                               np.array([1, 4, 9])), z, [0]).centroids[0, 0] == 0.0
+
+    def test_batch_shape_must_match(self):
+        state = LatentClusterState(np.zeros((2, 3)), np.zeros(4, dtype=np.int64),
+                                   np.ones(2, dtype=np.int64))
+        with pytest.raises(ShapeMismatch):
+            update_centroids_online(state, np.zeros((2, 2)), np.array([0, 1]))
+        with pytest.raises(ShapeMismatch):
+            update_centroids_online(state, np.zeros((3, 3)), np.array([0, 1]))
 
 
 def small_fit(seed=0, k=2, ics=2.0, n=300, alpha=5.0, beta=20.0, epochs=5,
