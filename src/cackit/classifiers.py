@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cluster_core
-from .dataset import LabeledDataset
+from .dataset import LabeledDataset, _is_int, _is_number
 from .errors import DimensionMismatch, EmptyCluster, NotBinary, OneClassOnly
 
 KINDS = ("logreg", "ridge", "perceptron", "knn")
@@ -31,6 +31,12 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown classifier kind {self.kind!r}")
+        for name in ("learning_rate", "l2_penalty", "ridge_lambda"):
+            if not _is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        for name in ("epochs", "k_neighbors"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.learning_rate <= 0 or self.epochs < 1 or self.k_neighbors < 1:
             raise ValueError("learning_rate, epochs and k_neighbors must be positive")
         if self.l2_penalty < 0 or self.ridge_lambda < 0:

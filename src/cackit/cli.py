@@ -11,14 +11,15 @@ from pathlib import Path
 
 from .config import load_config, parse_override, set_path, validate_config
 from .errors import CackitError, ConfigInvalid
-from .experiments import compare_reports, run_task
+from .experiments import _write_text, compare_reports, run_task
 
 def _add_run_parser(subparsers, name: str, help_text: str) -> None:
     p = subparsers.add_parser(name, help=help_text)
     p.add_argument("--config", required=True, help="path to the YAML experiment config")
     p.add_argument("--out", default=None, help="output directory (default: config output_dir)")
     p.add_argument("--seed", default=None, help="comma-separated seeds overriding the config")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the seeds and sweep cells (outputs do not depend on it)")
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="override a config value (repeatable)")
 
@@ -62,8 +63,7 @@ def _run(args) -> int:
 def _compare(args) -> int:
     csv_text, table = compare_reports(args.reports)
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(csv_text, encoding="utf-8")
+        _write_text(Path(args.out), csv_text)
     print(table)
     return 0
 

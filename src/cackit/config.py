@@ -142,6 +142,17 @@ def validate_config(raw: dict) -> dict:
     _require(cfg["task"] in TASKS, "task", f"must be one of {TASKS}")
     _require(cfg["model"]["baseline"] in BASELINES, "model.baseline", f"must be one of {BASELINES}")
     _check_sections(cfg)
+    data = cfg["dataset"]
+    _require(data["csv"] is None or (isinstance(data["csv"], str) and data["csv"] != ""),
+             "dataset.csv", "must be null or a non-empty path")
+    for field, value in (("dataset.label_column", data["label_column"]), ("output_dir", cfg["output_dir"])):
+        _require(isinstance(value, str) and value != "", field, "must be a non-empty string")
+    for field, value in (("dataset.has_header", data["has_header"]),
+                         ("dataset.standardize", data["standardize"]),
+                         ("sweep.save_models", cfg["sweep"]["save_models"])):
+        _require(isinstance(value, bool), field, "must be true or false")
+    _require(_is_int(cfg["sweep"]["max_runs"]) and cfg["sweep"]["max_runs"] >= 1,
+             "sweep.max_runs", "must be an integer >= 1")
     model = cfg["model"]
     _require(_is_int(model["k"]) and model["k"] >= 1, "model.k", "must be a positive integer")
     _require(_is_int(model["max_rounds"]) and model["max_rounds"] >= 0,

@@ -7,6 +7,8 @@ repr, so re-running a config yields byte-identical report files.
 
 from __future__ import annotations
 
+import builtins
+import contextlib
 import copy
 import csv
 import io
@@ -235,9 +237,34 @@ def run_single(cfg: dict, run_seed: int) -> tuple[dict, str | None]:
     raise ConfigInvalid("task", f"{task!r} is not a per-seed runnable task")
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
+
+
+def _csv_text(header: list, rows: list[list]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _run_cells(out_dir: Path, cells: list[tuple[dict, int, Path, Path | None]], jobs: int) -> list[dict]:
+    """Run each (config, seed, report path, model path or None) cell, in-process at one job
+    and on a process pool otherwise, and write its report, and its model when the cell has
+    a model path and the run made one, under out_dir as results arrive in cell order."""
+    cfgs, seeds, report_paths, model_paths = zip(*cells)
+    # at one job builtins.map runs the cells in-process, in the same lazy cell order
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext(builtins) as pool:
+        results = pool.map(run_single, cfgs, seeds)
+        reports = []
+        for (report, model_json), report_path, model_path in zip(results, report_paths, model_paths):
+            _write_text(out_dir / report_path, json.dumps(report, indent=2) + "\n")
+            if model_path is not None and model_json is not None:
+                _write_text(out_dir / model_path, model_json)
+            reports.append(report)
+    return reports
 
 
 def _grid_key(axes: list[str], values: tuple) -> str:
@@ -272,26 +299,15 @@ def _sweep_runs(cfg: dict) -> list[tuple[str, tuple, dict, int]]:
 def run_sweep(cfg: dict, out_dir: Path, jobs: int = 1) -> list[dict]:
     """Run the whole grid, write per-run reports and the merged sweep.csv."""
     runs = _sweep_runs(cfg)
-    _, _, run_cfgs, seeds = zip(*runs)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_single, run_cfgs, seeds))
-    else:
-        results = list(map(run_single, run_cfgs, seeds))
-
-    axes = list(cfg["sweep"]["axes"].keys())
-    rows = []
-    for (key, combo, _, seed), (report, model_json) in zip(runs, results):
-        _write_json(out_dir / "runs" / key / str(seed) / "report.json", report)
-        if model_json is not None and cfg["sweep"]["save_models"]:
-            path = out_dir / "models" / f"{key}__s{seed}.json"
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(model_json, encoding="utf-8")
-        rows.append(list(combo) + [seed] + [_metric_cell(report["metrics"], m)
-                                            for m in SWEEP_CSV_METRICS])
-    header = axes + ["seed"] + list(SWEEP_CSV_METRICS)
-    _write_csv(out_dir / "sweep.csv", header, rows)
-    return [report for report, _ in results]
+    save = cfg["sweep"]["save_models"]
+    reports = _run_cells(out_dir, [(run_cfg, seed, Path("runs", key, str(seed), "report.json"),
+                                    Path("models", f"{key}__s{seed}.json") if save else None)
+                                   for key, _, run_cfg, seed in runs], jobs)
+    rows = [list(combo) + [seed] + [_metric_cell(report["metrics"], m) for m in SWEEP_CSV_METRICS]
+            for (_, combo, _, seed), report in zip(runs, reports)]
+    header = list(cfg["sweep"]["axes"]) + ["seed"] + list(SWEEP_CSV_METRICS)
+    _write_text(out_dir / "sweep.csv", _csv_text(header, rows))
+    return reports
 
 
 def _metric_cell(metric_dict: dict, name: str) -> str:
@@ -299,21 +315,11 @@ def _metric_cell(metric_dict: dict, name: str) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    path.write_text(buf.getvalue(), encoding="utf-8")
-
-
 def run_task(cfg: dict, out_dir, jobs: int = 1) -> dict:
     """Execute the configured task, write everything under out_dir, return the manifest."""
     out_dir = Path(out_dir)
     started = time.time()
     task = cfg["task"]
-    n_runs = 0
     if task == "synth":
         ds = make_classification(_synthetic_spec(cfg, 0))
         save_csv(ds, out_dir / "dataset.csv", cfg["dataset"]["label_column"])
@@ -321,14 +327,9 @@ def run_task(cfg: dict, out_dir, jobs: int = 1) -> dict:
     elif task == "sweep":
         n_runs = len(run_sweep(cfg, out_dir, jobs=jobs))
     elif task in ("fit-cac", "fit-deepcac", "baseline"):
-        for seed in cfg["seeds"]:
-            report, model_json = run_single(cfg, seed)
-            _write_json(out_dir / "runs" / "default" / str(seed) / "report.json", report)
-            if model_json is not None:
-                path = out_dir / "models" / f"model_s{seed}.json"
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(model_json, encoding="utf-8")
-            n_runs += 1
+        n_runs = len(_run_cells(out_dir, [(cfg, seed, Path("runs", "default", str(seed), "report.json"),
+                                           Path("models", f"model_s{seed}.json"))
+                                          for seed in cfg["seeds"]], jobs))
     else:
         raise ConfigInvalid("task", f"task {task!r} cannot be executed directly")
 
@@ -340,7 +341,7 @@ def run_task(cfg: dict, out_dir, jobs: int = 1) -> dict:
         "wall_clock_s": round(time.time() - started, 3),
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    _write_json(out_dir / "manifest.json", manifest)
+    _write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     return manifest
 
 
@@ -361,20 +362,14 @@ def compare_reports(paths: list) -> tuple[str, str]:
         except (KeyError, TypeError):
             raise SchemaMismatch(f"{p} is not a recognizable report file") from None
 
-    groups: list[tuple] = []
+    groups: dict[tuple, list[dict]] = {}
     for e in entries:
-        key = (e["dataset"], e["method"], e["k"])
-        if key not in groups:
-            groups.append(key)
-    base = groups[0]
-    base_by_seed = {(e["dataset"], e["seed"]): e["auprc"] for e in entries
-                    if (e["dataset"], e["method"], e["k"]) == base}
+        groups.setdefault((e["dataset"], e["method"], e["k"]), []).append(e)
+    base_by_seed = {(e["dataset"], e["seed"]): e["auprc"] for e in next(iter(groups.values()))}
     base_mean = float(np.mean(list(base_by_seed.values())))
 
     rows = []
-    for dataset, method, k in groups:
-        mine = [e for e in entries
-                if (e["dataset"], e["method"], e["k"]) == (dataset, method, k)]
+    for (dataset, method, k), mine in groups.items():
         wins = sum(1 for e in mine
                    if (e["dataset"], e["seed"]) in base_by_seed
                    and e["auprc"] > base_by_seed[(e["dataset"], e["seed"])])
@@ -384,12 +379,7 @@ def compare_reports(paths: list) -> tuple[str, str]:
 
     header = ["dataset", "method", "k", "n_runs", "auc", "auprc", "f1",
               "auprc_delta_vs_base", "wins_vs_base"]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for r in rows:
-        writer.writerow(r[:4] + [repr(float(v)) for v in r[4:8]] + [r[8]])
-    csv_text = buf.getvalue()
+    csv_text = _csv_text(header, [r[:4] + [repr(float(v)) for v in r[4:8]] + [r[8]] for r in rows])
 
     widths = [max(len(str(header[i])), max(len(_fmt(r[i])) for r in rows)) for i in range(len(header))]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]

@@ -5,13 +5,17 @@ datasets so the whole file stays fast.
 """
 
 import csv
+import functools
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from cackit import experiments
 from cackit.cli import main
 from cackit.config import validate_config
 from cackit.errors import ConfigInvalid, SchemaMismatch
@@ -93,6 +97,49 @@ class TestSweep:
                      "--out", str(tmp_path / "out")]) == 2
 
 
+def artifacts(root: Path) -> dict[str, bytes]:
+    """Every file under root but the timestamped manifest, by relative path."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*")
+            if p.is_file() and p.name != "manifest.json"}
+
+
+class TestJobs:
+    SWEEP = {"sweep.axes": {"ics": [0.5, 1.0]}, "sweep.save_models": True, "seeds": [0, 1]}
+
+    def same_bytes_at_one_and_two_jobs(self, tmp_path, command, overrides) -> dict[str, bytes]:
+        cfg = write_config(tmp_path / "c.yaml", **overrides)
+        runs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main([command, "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 0
+            runs.append(artifacts(out))
+        assert runs[0] == runs[1]
+        return runs[0]
+
+    def test_sweep_with_models(self, tmp_path):
+        files = self.same_bytes_at_one_and_two_jobs(tmp_path, "sweep", self.SWEEP)
+        assert "sweep.csv" in files and "models/ics-0.5__s1.json" in files
+        assert "runs/ics-1.0/1/report.json" in files and len(files) == 9
+
+    def test_two_seed_fit(self, tmp_path):
+        files = self.same_bytes_at_one_and_two_jobs(tmp_path, "fit-cac", {"seeds": [0, 1]})
+        assert sorted(files) == ["models/model_s0.json", "models/model_s1.json",
+                                 "runs/default/0/report.json", "runs/default/1/report.json"]
+
+    def test_spawned_workers(self, tmp_path, monkeypatch):
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+                            functools.partial(ProcessPoolExecutor, mp_context=spawn))
+        self.same_bytes_at_one_and_two_jobs(tmp_path, "sweep", self.SWEEP)
+
+    def test_failed_sweep_cell_keeps_earlier_reports(self, tmp_path):
+        cfg = write_config(tmp_path / "c.yaml", **{"sweep.axes": {"k": [2, 500]}})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
+        assert (out / "runs" / "k-2" / "0" / "report.json").exists()
+        assert not (out / "sweep.csv").exists()
+
+
 class TestConfigValidation:
     def test_unknown_key_is_exit_code_two(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml")
@@ -120,7 +167,10 @@ class TestConfigValidation:
                      "--out", str(tmp_path / "out")]) == 2
 
     @pytest.mark.parametrize("field,value", [("epochs", 0), ("learning_rate", "fast"),
-                                             ("kind", "forest")])
+                                             ("kind", "forest"), ("learning_rate", float("nan")),
+                                             ("epochs", 2.5), ("k_neighbors", True),
+                                             ("l2_penalty", float("inf")),
+                                             ("ridge_lambda", float("nan"))])
     def test_bad_classifier_value_is_exit_code_two(self, tmp_path, field, value):
         cfg = write_config(tmp_path / "c.yaml", **{"model.baseline": "km",
                                                    f"model.classifier.{field}": value})
@@ -163,11 +213,22 @@ class TestConfigValidation:
         ({"dataset.synthetic.ics": float("nan")}, "dataset.synthetic"),
         ({"dataset.synthetic.n_samples": 240.5}, "dataset.synthetic"),
         ({"dataset.synthetic.seed": 1.5}, "dataset.synthetic"),
+        ({"dataset.standardize": "false"}, "dataset.standardize"),
+        ({"dataset.has_header": "no"}, "dataset.has_header"),
+        ({"sweep.save_models": "yes"}, "sweep.save_models"),
+        ({"sweep.max_runs": -1}, "sweep.max_runs"),
+        ({"sweep.max_runs": 2.5}, "sweep.max_runs"),
+        ({"output_dir": 5}, "output_dir"),
+        ({"output_dir": ""}, "output_dir"),
+        ({"dataset.label_column": 3}, "dataset.label_column"),
+        ({"dataset.csv": 7}, "dataset.csv"),
     ], ids=["split-sum", "n-clusters", "warp", "alpha-bool", "seed-bool", "batch-size",
             "local-epochs", "hidden-float", "delta-str", "lr-negative", "local-lr-zero",
             "scale-inf", "margin-nan", "deep-alpha-negative", "beta-bool", "split-seed-str",
             "split-seed-bool", "stratified-int", "ics-nan", "n-samples-float",
-            "synthetic-seed-float"])
+            "synthetic-seed-float", "standardize-str", "has-header-str", "save-models-str",
+            "max-runs-negative", "max-runs-float", "output-dir-int", "output-dir-empty",
+            "label-column-int", "csv-int"])
     def test_bad_value_is_exit_code_two_before_any_run(self, tmp_path, overrides, field):
         cfg = write_config(tmp_path / "c.yaml", **overrides)
         out = tmp_path / "out"
