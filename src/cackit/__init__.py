@@ -28,21 +28,16 @@ from .cac_engine import (
     CacRun,
     ClusterState,
     apply_move,
-    assign_cluster,
     cac_fit,
     cac_predict,
     cac_predict_batch,
     cluster_cost,
-    merge_cost_change,
-    move_cost_change,
-    removal_cost_change,
     total_cost,
 )
 from .classifiers import (
     ClassifierSpec,
     TrainedClassifier,
     logloss_bounds,
-    predict_proba,
     train_classifier,
     train_per_cluster,
 )

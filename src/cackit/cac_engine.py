@@ -19,19 +19,9 @@ from typing import Callable
 import numpy as np
 
 from . import classifiers as _clf
-from .cluster_core import kmeanspp_init, lloyd, nearest_centroids
+from .cluster_core import _score_by_route, kmeanspp_init, lloyd, nearest_centroids
 from .dataset import LabeledDataset
-from .errors import (
-    DimensionMismatch,
-    EmptyCluster,
-    IllegalMove,
-    InfeasibleInit,
-    NotBinary,
-    PointAlreadyInCluster,
-    UntrainedModel,
-    WouldCreateOneClassCluster,
-    WouldEmptyCluster,
-)
+from .errors import EmptyCluster, IllegalMove, InfeasibleInit, NotBinary, UntrainedModel
 from .metrics import DECISION_THRESHOLD
 
 DEFAULT_MAX_ROUNDS = 100
@@ -151,41 +141,9 @@ def _best_moves(state: ClusterState, ds: LabeledDataset, rows: slice, sep: np.nd
     return _guard(state.class_counts, ds.labels[rows], p), q, deltas[at, q]
 
 
-def merge_cost_change(state: ClusterState, ds: LabeledDataset, j: int, i: int) -> float:
-    """Change in cluster j's score if point i joined it, in O(k*d).
-
-    Merging into an empty cluster scores 0 (a singleton has zero SSE and
-    no separation term).
-    """
-    if state.assignments[i] == j:
-        raise PointAlreadyInCluster(f"point {i} is already in cluster {j}")
-    return float(_score_block(state, ds, slice(i, i + 1), _separations(state))[0, j])
-
-
 def can_remove(state: ClusterState, ds: LabeledDataset, p: int, i: int) -> bool:
     """True when removing point i leaves cluster p non-empty with both classes."""
     return bool(_guard(state.class_counts, ds.labels[i], p))
-
-
-def removal_cost_change(state: ClusterState, ds: LabeledDataset, p: int, i: int) -> float:
-    """Change in cluster p's score if point i left it, in O(k*d).
-
-    Refuses removals that would empty the cluster or leave it one-class.
-    """
-    if state.assignments[i] != p:
-        raise IllegalMove(f"point {i} is not in cluster {p}")
-    if state.sizes[p] <= 1:
-        raise WouldEmptyCluster(f"cluster {p} has a single member")
-    if not can_remove(state, ds, p, i):
-        raise WouldCreateOneClassCluster(f"removing point {i} would leave cluster {p} one-class")
-    return float(_score_block(state, ds, slice(i, i + 1), _separations(state))[0, p])
-
-
-def move_cost_change(state: ClusterState, ds: LabeledDataset, i: int, p: int, q: int) -> float:
-    """Total-score change of moving point i from cluster p to q; 0 when p == q."""
-    if p == q:
-        return 0.0
-    return removal_cost_change(state, ds, p, i) + merge_cost_change(state, ds, q, i)
 
 
 def apply_move(state: ClusterState, ds: LabeledDataset, i: int, p: int, q: int) -> ClusterState:
@@ -312,20 +270,14 @@ class CacModel:
         return self.centroids.shape[0]
 
 
-def assign_cluster(model: CacModel, x: np.ndarray) -> int:
-    """Nearest-centroid routing; ties break to the lowest cluster index."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.centroids.shape[1],):
-        raise DimensionMismatch(f"point shape {x.shape} vs centroid dim {model.centroids.shape[1]}")
-    return int(nearest_centroids(x[None, :], model.centroids)[0])
-
-
 def cac_predict(model: CacModel, x: np.ndarray) -> tuple[int, float]:
     """Route to the nearest centroid, score there; label 1 iff score >= DECISION_THRESHOLD."""
     if not model.classifiers:
         raise UntrainedModel("model has no per-cluster classifiers")
-    j = assign_cluster(model, x)
-    score = _clf.predict_proba(model.classifiers[j], np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
+    # nearest_centroids rejects a point that is not 1-D of the centroids' width
+    j = nearest_centroids(x[None], model.centroids)[0]
+    score = _clf.predict_proba_batch(model.classifiers[j], x[None])[0]
     return (1 if score >= DECISION_THRESHOLD else 0, float(score))
 
 
@@ -335,10 +287,8 @@ def cac_predict_batch(model: CacModel, features: np.ndarray) -> tuple[np.ndarray
         raise UntrainedModel("model has no per-cluster classifiers")
     x = np.asarray(features, dtype=np.float64)
     routes = nearest_centroids(x, model.centroids)
-    scores = np.empty(x.shape[0])
-    for j in np.unique(routes):
-        rows = routes == j
-        scores[rows] = _clf.predict_proba_batch(model.classifiers[j], x[rows])
+    scores = _score_by_route(x, routes, lambda j, xj: _clf.predict_proba_batch(model.classifiers[j], xj),
+                             np.empty(x.shape[0]))
     labels = (scores >= DECISION_THRESHOLD).astype(np.int64)
     return labels, scores
 

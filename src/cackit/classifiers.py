@@ -207,11 +207,6 @@ def predict_proba_batch(clf: TrainedClassifier, x: np.ndarray) -> np.ndarray:
     return _sigmoid(t, np.exp(-np.abs(t)))
 
 
-def predict_proba(clf: TrainedClassifier, x: np.ndarray) -> float:
-    """Positive-class probability for a single point."""
-    return float(predict_proba_batch(clf, np.asarray(x, dtype=np.float64)[None, :])[0])
-
-
 def logloss_bounds(x: np.ndarray, y: np.ndarray, beta: np.ndarray) -> tuple[float, float, float]:
     """Sandwich the summed log-loss of a linear scorer between two affine
     functions of the projected class centroids.

@@ -13,13 +13,26 @@ from .config import load_config, parse_override, set_path, validate_config
 from .errors import CackitError, ConfigInvalid
 from .experiments import _write_text, compare_reports, run_task
 
+
+def _jobs(text: str) -> int:
+    """The --jobs value: an integer >= 1 (argparse exits 2 otherwise)."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return jobs
+
+
 def _add_run_parser(subparsers, name: str, help_text: str) -> None:
     p = subparsers.add_parser(name, help=help_text)
     p.add_argument("--config", required=True, help="path to the YAML experiment config")
     p.add_argument("--out", default=None, help="output directory (default: config output_dir)")
     p.add_argument("--seed", default=None, help="comma-separated seeds overriding the config")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the seeds and sweep cells (outputs do not depend on it)")
+    p.add_argument("--jobs", type=_jobs, default=1,
+                   help="worker processes for the seeds and sweep cells, an integer >= 1 "
+                        "(outputs do not depend on it)")
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="override a config value (repeatable)")
 

@@ -56,6 +56,17 @@ def nearest_centroids(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return routes
 
 
+def _score_by_route(x: np.ndarray, routes: np.ndarray, score, out: np.ndarray) -> np.ndarray:
+    """Fill `out` with `score(j, x[rows])` for the rows of x routed to each cluster j.
+
+    Only the clusters present in `routes` are visited.
+    """
+    for j in np.unique(routes):
+        rows = routes == j
+        out[rows] = score(j, x[rows])
+    return out
+
+
 def kmeanspp_init(features: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     """Squared-distance-weighted seeding over data rows.
 

@@ -162,8 +162,9 @@ def validate_config(raw: dict) -> dict:
              "model.alpha_grid", "must be a non-empty list of finite numbers")
     alpha = model["alpha"]
     _require(alpha == "auto" or _is_number(alpha), "model.alpha", "must be a finite number or 'auto'")
-    _require(isinstance(cfg["seeds"], list) and cfg["seeds"] and all(_is_int(s) for s in cfg["seeds"]),
-             "seeds", "must be a non-empty list of integers")
+    _require(isinstance(cfg["seeds"], list) and cfg["seeds"]
+             and all(_is_int(s) and s >= 0 for s in cfg["seeds"]),
+             "seeds", "must be a non-empty list of integers >= 0")
     deep = model["deepcac"]
     # step sizes and the head scale must be positive; loss weights and the margin may be
     # zero (kmz and the beta sweep axis use 0)

@@ -197,8 +197,8 @@ class SplitSpec:
             f = getattr(self, name)
             if not (_is_number(f) and 0.0 < f < 1.0):
                 raise InvalidSpec(f"{name} must lie strictly between 0 and 1, got {f!r}")
-        if not _is_int(self.seed):
-            raise InvalidSpec(f"seed must be an integer, got {self.seed!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise InvalidSpec(f"seed must be an integer >= 0, got {self.seed!r}")
         if not isinstance(self.stratified, (bool, np.bool_)):
             raise InvalidSpec(f"stratified must be a bool, got {self.stratified!r}")
         total = self.train_frac + self.val_frac + self.test_frac
@@ -301,6 +301,8 @@ class SyntheticSpec:
                 raise InvalidSpec(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.n_samples < 1 or self.n_features < 1 or self.n_clusters < 1:
             raise InvalidSpec("n_samples, n_features and n_clusters must be positive")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         if self.n_clusters > self.n_samples / 4:
             raise InvalidSpec(f"need n_samples >= 4 * n_clusters, got {self.n_samples} and {self.n_clusters}")
         if self.ics < 0 or self.ocs < 0:

@@ -63,18 +63,6 @@ class EmptyCluster(CackitError):
     """The referenced cluster has no members."""
 
 
-class PointAlreadyInCluster(CackitError):
-    """Tried to merge a point into the cluster it already belongs to."""
-
-
-class WouldEmptyCluster(CackitError):
-    """Removing the point would leave its cluster empty."""
-
-
-class WouldCreateOneClassCluster(CackitError):
-    """Removing the point would leave its cluster with a single class."""
-
-
 class NotBinary(CackitError):
     """The operation requires binary 0/1 labels with both classes present."""
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics as _metrics
-from .cluster_core import kmeanspp_init, lloyd, nearest_centroids
+from .cluster_core import _score_by_route, kmeanspp_init, lloyd, nearest_centroids
 from .dataset import LabeledDataset
 from .errors import OneClassOnly, ShapeMismatch, TrainingDiverged, UntrainedModel
 
@@ -429,11 +429,8 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 def _local_proba(local_nets: list[DenseNet], z: np.ndarray, routes: np.ndarray,
                  n_classes: int) -> np.ndarray:
-    probs = np.empty((z.shape[0], n_classes))
-    for j in np.unique(routes):
-        rows = routes == j
-        probs[rows] = _softmax(net_forward(local_nets[j], z[rows])[0])
-    return probs
+    return _score_by_route(z, routes, lambda j, zj: _softmax(net_forward(local_nets[j], zj)[0]),
+                           np.empty((z.shape[0], n_classes)))
 
 
 def _class_cosine(z: np.ndarray, y: np.ndarray) -> float | None:

@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from cackit.cac_engine import ClusterState, cac_fit, merge_cost_change, \
-    move_cost_change, removal_cost_change, apply_move, total_cost
+from cackit.cac_engine import ClusterState, cac_fit, apply_move, total_cost
 from cackit.classifiers import ClassifierSpec, logloss_bounds, train_logreg
 from cackit.cli import main as cli_main
 from cackit.cluster_core import silhouette
@@ -46,6 +45,7 @@ from conftest import (
     rel_err,
     total_score_oracle,
 )
+from oracles import merge_cost_change, move_cost_change, removal_cost_change
 
 
 def _record(log, num, ok, detail):

@@ -2,7 +2,8 @@
 arithmetic, the descent loop, prediction and serialization.
 
 Every closed-form quantity is checked against the from-scratch oracles in
-conftest, which recompute cluster scores directly from member rows.
+conftest, which recompute cluster scores directly from member rows. The
+one-point move wrappers around the block scorer live in oracles.py.
 """
 
 import hashlib
@@ -18,7 +19,6 @@ from cackit.cac_engine import (
     CacModel,
     ClusterState,
     apply_move,
-    assign_cluster,
     cac_fit,
     cac_model_from_json,
     cac_model_to_json,
@@ -26,23 +26,12 @@ from cackit.cac_engine import (
     cac_predict_batch,
     can_remove,
     cluster_cost,
-    merge_cost_change,
-    move_cost_change,
-    removal_cost_change,
     total_cost,
 )
 from cackit.classifiers import ClassifierSpec, constant_classifier, train_per_cluster
 from cackit.cluster_core import kmeanspp_init, lloyd
 from cackit.dataset import LabeledDataset, SyntheticSpec, make_classification
-from cackit.errors import (
-    EmptyCluster,
-    IllegalMove,
-    InfeasibleInit,
-    NotBinary,
-    PointAlreadyInCluster,
-    WouldCreateOneClassCluster,
-    WouldEmptyCluster,
-)
+from cackit.errors import DimensionMismatch, EmptyCluster, IllegalMove, InfeasibleInit, NotBinary
 
 from conftest import (
     cluster_score_oracle,
@@ -52,6 +41,7 @@ from conftest import (
     rel_err,
     total_score_oracle,
 )
+from oracles import merge_cost_change, move_cost_change, removal_cost_change
 
 
 def two_point_state(alpha):
@@ -169,7 +159,7 @@ class TestMergeCost:
 
     def test_rejects_own_cluster(self):
         ds, state = two_point_state(0.5)
-        with pytest.raises(PointAlreadyInCluster):
+        with pytest.raises(IllegalMove, match="point 0 is already in cluster 0"):
             merge_cost_change(state, ds, 0, 0)
 
 
@@ -196,10 +186,10 @@ class TestRemovalCost:
         feats = np.array([[0.0], [1.0], [5.0], [6.0]])
         ds = LabeledDataset.from_arrays(feats, np.array([1, 0, 1, 0]))
         state = ClusterState.from_assignments(ds, [0, 0, 1, 1], 2, 0.5)
-        with pytest.raises(WouldCreateOneClassCluster):
+        with pytest.raises(IllegalMove, match="would leave cluster 0 one-class"):
             removal_cost_change(state, ds, 0, 0)
         solo = ClusterState.from_assignments(ds, [0, 1, 1, 1], 2, 0.5)
-        with pytest.raises(WouldEmptyCluster):
+        with pytest.raises(IllegalMove, match="cluster 0 has a single member"):
             removal_cost_change(solo, ds, 0, 0)
 
 
@@ -422,7 +412,7 @@ class TestGoldenTrajectory:
 
 def reference_descent(ds, k, alpha, init, max_rounds):
     """The descent one point and one candidate cluster at a time, through the
-    public move arithmetic only: what `cac_fit` must reproduce bit for bit."""
+    one-point oracles and `apply_move`: what `cac_fit` must reproduce bit for bit."""
     state = ClusterState.from_assignments(ds, init, k, alpha)
     trace = [total_cost(state, ds)]
     moves_per_round, applied = [], []
@@ -535,24 +525,6 @@ class TestPrediction:
         local = train_per_cluster(run.state, ds, spec)
         return CacModel(run.state.centroids.copy(), local, alpha, run.cost_trace)
 
-    def test_assign_cluster_exact_centroid(self):
-        model = CacModel(np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 9.0]]),
-                         [constant_classifier(0)] * 3, 0.5, [0.0])
-        assert assign_cluster(model, np.array([9.0, 9.0])) == 2
-
-    def test_assign_cluster_tie_breaks_low(self):
-        model = CacModel(np.array([[-1.0, 0.0], [1.0, 0.0]]),
-                         [constant_classifier(0)] * 2, 0.5, [0.0])
-        assert assign_cluster(model, np.array([0.0, 0.0])) == 0
-
-    def test_assign_cluster_matches_brute_force(self, rng):
-        cents = rng.normal(size=(4, 3))
-        model = CacModel(cents, [constant_classifier(0)] * 4, 0.5, [0.0])
-        for _ in range(50):
-            x = rng.normal(size=3)
-            want = int(np.argmin(((cents - x) ** 2).sum(axis=1)))
-            assert assign_cluster(model, x) == want
-
     def test_constant_classifiers_predict_constant(self, rng):
         model = CacModel(rng.normal(size=(2, 3)), [constant_classifier(0)] * 2,
                          0.5, [0.0])
@@ -567,7 +539,15 @@ class TestPrediction:
         for i in range(feats.shape[0]):
             lab, sc = cac_predict(model, feats[i])
             assert lab == labels[i]
+            # BLAS may sum a many-row product in another order than a one-row one
             assert sc == pytest.approx(scores[i], abs=1e-12)
+            assert (lab, sc) == tuple(v[0] for v in cac_predict_batch(model, feats[i][None]))
+
+    @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((1, 2))], ids=["wrong-length", "two-d"])
+    def test_point_of_wrong_shape_rejected(self, x):
+        model = CacModel(np.zeros((2, 2)), [constant_classifier(0)] * 2, 0.5, [0.0])
+        with pytest.raises(DimensionMismatch):
+            cac_predict(model, x)
 
 
 class TestSerialization:

@@ -22,7 +22,6 @@ from cackit.classifiers import (
     constant_classifier,
     logloss_bounds,
     logreg_loss_grad,
-    predict_proba,
     predict_proba_batch,
     train_classifier,
     train_logreg,
@@ -142,19 +141,19 @@ class TestPredictProba:
         clf = train_logreg(np.array([[0.0], [0.0]]), np.array([0, 1]),
                            ClassifierSpec(kind="logreg", epochs=1,
                                           learning_rate=1e-12))
-        assert predict_proba(clf, np.array([7.0])) == pytest.approx(0.5, abs=1e-6)
+        assert predict_proba_batch(clf, np.array([[7.0]]))[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_saturates_toward_one(self):
         from cackit.classifiers import TrainedClassifier
         clf = TrainedClassifier(kind="logreg", weights=np.array([100.0, 0.0]))
-        assert predict_proba(clf, np.array([5.0])) > 1.0 - 1e-12
+        assert predict_proba_batch(clf, np.array([[5.0]]))[0] > 1.0 - 1e-12
 
     def test_hand_computed_sigmoid(self):
         from cackit.classifiers import TrainedClassifier
         # score 1*2 + (-1)*1 = 1 on the bias-augmented input [2, 1]
         clf = TrainedClassifier(kind="logreg", weights=np.array([1.0, -1.0]))
         want = 1.0 / (1.0 + math.exp(-1.0))
-        assert predict_proba(clf, np.array([2.0])) == pytest.approx(want, rel=1e-12)
+        assert predict_proba_batch(clf, np.array([[2.0]]))[0] == pytest.approx(want, rel=1e-12)
         assert want == pytest.approx(0.7311, abs=5e-5)
 
     def test_knn_k1_reproduces_training_labels(self, rng):
@@ -167,7 +166,7 @@ class TestPredictProba:
         feats = np.array([[0.0], [0.1], [0.2], [9.0]])
         labels = np.array([1, 1, 0, 0])
         clf = train_classifier(feats, labels, ClassifierSpec(kind="knn", k_neighbors=3))
-        assert predict_proba(clf, np.array([0.05])) == pytest.approx(2.0 / 3.0)
+        assert predict_proba_batch(clf, np.array([[0.05]]))[0] == pytest.approx(2.0 / 3.0)
 
     def test_knn_blocks_match_one_block(self, monkeypatch):
         # two training rows sit at the origin with opposite labels and four
@@ -193,7 +192,7 @@ class TestPredictProba:
         feats, labels = binary_blobs(rng, n=20, d=3)
         clf = train_logreg(feats, labels, ClassifierSpec(kind="logreg", epochs=2))
         with pytest.raises(DimensionMismatch):
-            predict_proba(clf, np.zeros(5))
+            predict_proba_batch(clf, np.zeros((1, 5)))
 
 
 class TestLoglossBounds:

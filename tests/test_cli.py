@@ -161,6 +161,23 @@ class TestConfigValidation:
         assert main(["fit-cac", "--config", str(cfg), "--set", "noequalsign"]) == 2
         assert main(["fit-cac", "--config", str(cfg), "--seed", "a,b"]) == 2
 
+    def test_negative_seed_flag_is_exit_code_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml")
+        out = tmp_path / "out"
+        assert main(["fit-cac", "--config", str(cfg), "--out", str(out), "--seed", "-3"]) == 2
+        assert not out.exists()
+        assert "'seeds'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_one_is_exit_code_two(self, tmp_path, capsys, jobs):
+        cfg = write_config(tmp_path / "c.yaml")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            main(["fit-cac", "--config", str(cfg), "--out", str(out), "--jobs", jobs])
+        assert exit_.value.code == 2
+        assert not out.exists()
+        assert "--jobs" in capsys.readouterr().err
+
     def test_empty_seed_list_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", seeds=[])
         assert main(["fit-cac", "--config", str(cfg),
@@ -222,13 +239,17 @@ class TestConfigValidation:
         ({"output_dir": ""}, "output_dir"),
         ({"dataset.label_column": 3}, "dataset.label_column"),
         ({"dataset.csv": 7}, "dataset.csv"),
+        ({"split.seed": -1}, "split"),
+        ({"dataset.synthetic.seed": -1}, "dataset.synthetic"),
+        ({"seeds": [-3]}, "seeds"),
     ], ids=["split-sum", "n-clusters", "warp", "alpha-bool", "seed-bool", "batch-size",
             "local-epochs", "hidden-float", "delta-str", "lr-negative", "local-lr-zero",
             "scale-inf", "margin-nan", "deep-alpha-negative", "beta-bool", "split-seed-str",
             "split-seed-bool", "stratified-int", "ics-nan", "n-samples-float",
             "synthetic-seed-float", "standardize-str", "has-header-str", "save-models-str",
             "max-runs-negative", "max-runs-float", "output-dir-int", "output-dir-empty",
-            "label-column-int", "csv-int"])
+            "label-column-int", "csv-int", "split-seed-negative", "synthetic-seed-negative",
+            "seeds-negative"])
     def test_bad_value_is_exit_code_two_before_any_run(self, tmp_path, overrides, field):
         cfg = write_config(tmp_path / "c.yaml", **overrides)
         out = tmp_path / "out"

@@ -98,6 +98,13 @@ class TestNearestIndex:
         cents = np.array([[-1.0, 0.0], [1.0, 0.0]])
         assert nearest_centroids(np.array([[0.0, 0.0]]), cents)[0] == 0
 
+    def test_single_rows_match_brute_force(self, rng):
+        cents = rng.normal(size=(4, 3))
+        for _ in range(50):
+            x = rng.normal(size=3)
+            want = int(np.argmin(((cents - x) ** 2).sum(axis=1)))
+            assert nearest_centroids(x[None], cents)[0] == want
+
     def test_chunked_routes_match_one_block(self):
         rng = np.random.default_rng(12)
         k, d = 64, 512
@@ -118,6 +125,21 @@ class TestNearestIndex:
         for x in (np.zeros(4), np.zeros((2, 5))):
             with pytest.raises(DimensionMismatch):
                 nearest_centroids(x, cents)
+
+
+class TestScoreByRoute:
+    def test_each_present_cluster_scores_its_own_rows_once(self):
+        x = np.arange(12.0).reshape(6, 2)
+        routes = np.array([2, 0, 2, 2, 0, 3])  # cluster 1 is absent
+        visited = []
+
+        def score(j, rows):
+            visited.append(int(j))
+            return 100.0 * j + rows[:, 0]
+
+        got = cluster_core._score_by_route(x, routes, score, np.full(6, np.nan))
+        assert visited == [0, 2, 3]
+        np.testing.assert_array_equal(got, 100.0 * routes + x[:, 0])
 
 
 class TestSilhouette:
