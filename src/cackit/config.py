@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import yaml
 
@@ -32,27 +33,14 @@ DEFAULTS: dict = {
             "warp": "none",
         },
     },
-    "split": {
-        "train_frac": 0.57,
-        "val_frac": 0.18,
-        "test_frac": 0.25,
-        "seed": 0,
-        "stratified": True,
-    },
+    "split": dataclasses.asdict(SplitSpec()),
     "model": {
         "k": 2,
         "alpha": 0.5,
         "alpha_grid": [0.01, 0.05, 0.5, 2.5, 3.0],
         "max_rounds": 100,
         "baseline": "km",
-        "classifier": {
-            "kind": "logreg",
-            "learning_rate": 0.1,
-            "l2_penalty": 1e-4,
-            "epochs": 500,
-            "k_neighbors": 5,
-            "ridge_lambda": 1.0,
-        },
+        "classifier": dataclasses.asdict(ClassifierSpec()),
         "deepcac": {
             "alpha": 5.0,
             "beta": 20.0,
@@ -117,76 +105,77 @@ def _merge(defaults: dict, given: dict, path: str) -> dict:
     return out
 
 
-def _require(cond: bool, field: str, reason: str) -> None:
-    if not cond:
-        raise ConfigInvalid(field, reason)
+# narrowings of the rule a leaf's default implies: a fixed set of choices, a number that
+# must be positive, or a number that may take either sign. The deepcac loss weights, margin
+# and epoch counts stay >= 0, since kmz and the beta sweep axis use 0.
+CHOICES = {"version": (1,), "task": TASKS, "model.baseline": BASELINES,
+           "sweep.task": ("fit-cac", "fit-deepcac", "baseline")}
+POSITIVE = {"model.k", "sweep.max_runs"} | {
+    f"model.deepcac.{key}" for key in ("batch_size", "hidden", "latent", "local_hidden",
+                                       "patience", "lr", "local_lr", "delta", "scale")}
+SIGNED = {"model.alpha", "model.alpha_grid"}
+# sections checked by building the spec that consumes them
+SPECS = {"split": SplitSpec, "dataset.synthetic": SyntheticSpec, "model.classifier": ClassifierSpec}
 
 
-def _check_sections(cfg: dict) -> None:
-    """Build the spec that consumes each spec-backed section, so its rules reject bad values."""
-    for field, spec, section in (("split", SplitSpec, cfg["split"]),
-                                 ("dataset.synthetic", SyntheticSpec, cfg["dataset"]["synthetic"]),
-                                 ("model.classifier", ClassifierSpec, cfg["model"]["classifier"])):
-        try:
-            spec(**section)
-        except (TypeError, ValueError, InvalidSpec) as exc:
-            raise ConfigInvalid(field, str(exc)) from None
+def _check_leaf(value, default, field: str) -> None:
+    """Require the type of the leaf's default: a bool, an integer >= 0, a finite number
+    >= 0, a non-empty string, or a non-empty list whose items follow the first default
+    item; then apply the leaf's narrowing."""
+    if isinstance(default, list):
+        if not (isinstance(value, list) and value):
+            raise ConfigInvalid(field, "must be a non-empty list")
+        for item in value:
+            _check_leaf(item, default[0], field)
+        return
+    if isinstance(default, bool):
+        ok, rule = isinstance(value, bool), "true or false"
+    elif isinstance(default, str):
+        ok, rule = isinstance(value, str) and value != "", "a non-empty string"
+    else:
+        ok, rule = ((_is_int(value), "an integer") if isinstance(default, int)
+                    else (_is_number(value), "a finite number"))
+        if field in POSITIVE:
+            ok, rule = ok and value > 0, f"{rule} > 0"
+        elif field not in SIGNED:
+            ok, rule = ok and value >= 0, f"{rule} >= 0"
+    if ok and field in CHOICES:
+        ok, rule = value in CHOICES[field], f"one of {CHOICES[field]}"
+    if not ok:
+        raise ConfigInvalid(field, f"must be {rule}, got {value!r}")
+
+
+def _check(node: dict, defaults: dict, path: str) -> None:
+    """Check every leaf of a merged config against its default, section by section."""
+    for key, default in defaults.items():
+        field, value = f"{path}.{key}" if path else key, node[key]
+        if field in SPECS:
+            try:
+                SPECS[field](**value)
+            except (TypeError, ValueError, InvalidSpec) as exc:
+                raise ConfigInvalid(field, str(exc)) from None
+        elif field == "dataset.csv":
+            if not (value is None or (isinstance(value, str) and value != "")):
+                raise ConfigInvalid(field, "must be null or a non-empty path")
+        elif field == "sweep.axes":
+            if not isinstance(value, dict):
+                raise ConfigInvalid(field, "must be a mapping of axis -> values")
+            for name, values in value.items():
+                if not (isinstance(values, list) and values):
+                    raise ConfigInvalid(f"{field}.{name}", "must be a non-empty list")
+                resolve_axis(name)  # raises on unknown axes
+        elif isinstance(default, dict):
+            _check(value, default, field)
+        elif not (field == "model.alpha" and value == "auto"):
+            _check_leaf(value, default, field)
 
 
 def validate_config(raw: dict) -> dict:
-    """Overlay onto the defaults, reject unknown keys, and sanity-check values."""
+    """Overlay onto the defaults, reject unknown keys, and check every leaf."""
     if not isinstance(raw, dict):
         raise ConfigInvalid("", "config root must be a mapping")
     cfg = _merge(DEFAULTS, raw, "")
-    _require(cfg["version"] == 1, "version", f"unsupported version {cfg['version']!r}")
-    _require(cfg["task"] in TASKS, "task", f"must be one of {TASKS}")
-    _require(cfg["model"]["baseline"] in BASELINES, "model.baseline", f"must be one of {BASELINES}")
-    _check_sections(cfg)
-    data = cfg["dataset"]
-    _require(data["csv"] is None or (isinstance(data["csv"], str) and data["csv"] != ""),
-             "dataset.csv", "must be null or a non-empty path")
-    for field, value in (("dataset.label_column", data["label_column"]), ("output_dir", cfg["output_dir"])):
-        _require(isinstance(value, str) and value != "", field, "must be a non-empty string")
-    for field, value in (("dataset.has_header", data["has_header"]),
-                         ("dataset.standardize", data["standardize"]),
-                         ("sweep.save_models", cfg["sweep"]["save_models"])):
-        _require(isinstance(value, bool), field, "must be true or false")
-    _require(_is_int(cfg["sweep"]["max_runs"]) and cfg["sweep"]["max_runs"] >= 1,
-             "sweep.max_runs", "must be an integer >= 1")
-    model = cfg["model"]
-    _require(_is_int(model["k"]) and model["k"] >= 1, "model.k", "must be a positive integer")
-    _require(_is_int(model["max_rounds"]) and model["max_rounds"] >= 0,
-             "model.max_rounds", "must be a non-negative integer")
-    grid = model["alpha_grid"]
-    _require(isinstance(grid, list) and grid and all(_is_number(a) for a in grid),
-             "model.alpha_grid", "must be a non-empty list of finite numbers")
-    alpha = model["alpha"]
-    _require(alpha == "auto" or _is_number(alpha), "model.alpha", "must be a finite number or 'auto'")
-    _require(isinstance(cfg["seeds"], list) and cfg["seeds"]
-             and all(_is_int(s) and s >= 0 for s in cfg["seeds"]),
-             "seeds", "must be a non-empty list of integers >= 0")
-    deep = model["deepcac"]
-    # step sizes and the head scale must be positive; loss weights and the margin may be
-    # zero (kmz and the beta sweep axis use 0)
-    for key in ("lr", "local_lr", "delta", "scale"):
-        _require(_is_number(deep[key]) and deep[key] > 0, f"model.deepcac.{key}",
-                 "must be a finite number > 0")
-    for key in ("alpha", "beta", "margin"):
-        _require(_is_number(deep[key]) and deep[key] >= 0, f"model.deepcac.{key}",
-                 "must be a finite number >= 0")
-    # sizes must be positive; epoch counts may be zero
-    for key, low in (("batch_size", 1), ("hidden", 1), ("latent", 1), ("local_hidden", 1),
-                     ("patience", 1), ("epochs", 0), ("pretrain_epochs", 0), ("local_epochs", 0)):
-        _require(_is_int(deep[key]) and deep[key] >= low, f"model.deepcac.{key}",
-                 f"must be an integer >= {low}")
-    _require(cfg["sweep"]["task"] in ("fit-cac", "fit-deepcac", "baseline"),
-             "sweep.task", "must be a runnable per-seed task")
-    axes = cfg["sweep"]["axes"]
-    _require(isinstance(axes, dict), "sweep.axes", "must be a mapping of axis -> values")
-    for name, values in axes.items():
-        _require(isinstance(values, list) and values,
-                 f"sweep.axes.{name}", "must be a non-empty list")
-        resolve_axis(name)  # raises on unknown axes
+    _check(cfg, DEFAULTS, "")
     return cfg
 
 
@@ -202,7 +191,7 @@ def _walk(node: dict, dotted: str, field: str, reason: str) -> tuple[dict, str]:
 
 def resolve_axis(name: str) -> str:
     """Map a sweep axis name (alias or dotted path) to its config path."""
-    path = AXIS_ALIASES.get(name, name)
+    path = AXIS_ALIASES.get(name, str(name))
     _walk(DEFAULTS, path, f"sweep.axes.{name}", f"no config entry at {path!r}")
     return path
 

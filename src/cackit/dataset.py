@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,9 +31,10 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    """A finite real number that is not a bool."""
-    return _is_int(value) or (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                              and math.isfinite(value))
+    """A real number that is not a bool and that a float holds finitely."""
+    if _is_int(value):
+        return -sys.float_info.max <= value <= sys.float_info.max
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -303,7 +305,7 @@ class SyntheticSpec:
             raise InvalidSpec("n_samples, n_features and n_clusters must be positive")
         if self.seed < 0:
             raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
-        if self.n_clusters > self.n_samples / 4:
+        if 4 * self.n_clusters > self.n_samples:
             raise InvalidSpec(f"need n_samples >= 4 * n_clusters, got {self.n_samples} and {self.n_clusters}")
         if self.ics < 0 or self.ocs < 0:
             raise InvalidSpec("ics and ocs must be non-negative")

@@ -96,7 +96,7 @@ class ShapeMismatch(CackitError):
 
 
 class TrainingDiverged(CackitError):
-    """A training loss became non-finite."""
+    """A training stage's loss, or the embedding the stage ends with, became non-finite."""
 
     def __init__(self, stage: str, epoch: int):
         self.stage = stage

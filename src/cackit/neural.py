@@ -303,6 +303,11 @@ def forward_backward(params: NetParams, head: AmsHead, x: np.ndarray, y: np.ndar
 
 # --- training stages ------------------------------------------------------
 
+def _diverging() -> np.errstate:
+    """Let a diverging stage overflow quietly; its loss and output checks raise TrainingDiverged."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
     perm = rng.permutation(n)
     for start in range(0, n, batch_size):
@@ -322,22 +327,23 @@ def pretrain(ds: LabeledDataset, params: NetParams, epochs: int, lr: float,
     rng = np.random.default_rng(seed)
     x = ds.features
     history = []
-    for epoch in range(1, epochs + 1):
-        epoch_loss = 0.0
-        for idx in _batches(ds.n_samples, batch_size, rng):
-            xb = x[idx]
-            z, enc_caches = net_forward(params.encoder, xb)
-            x_hat, dec_caches = net_forward(params.decoder, z)
-            resid = x_hat - xb
-            epoch_loss += float((resid * resid).sum())
-            scale = 1.0 / idx.size
-            dec_grads, dz = net_backward(params.decoder, dec_caches, 2.0 * resid)
-            enc_grads, _ = net_backward(params.encoder, enc_caches, dz)
-            _sgd_step(params.decoder, dec_grads, lr * scale)
-            _sgd_step(params.encoder, enc_grads, lr * scale)
-        if not math.isfinite(epoch_loss):
-            raise TrainingDiverged("pretrain", epoch)
-        history.append(epoch_loss / ds.n_samples)
+    with _diverging():
+        for epoch in range(1, epochs + 1):
+            epoch_loss = 0.0
+            for idx in _batches(ds.n_samples, batch_size, rng):
+                xb = x[idx]
+                z, enc_caches = net_forward(params.encoder, xb)
+                x_hat, dec_caches = net_forward(params.decoder, z)
+                resid = x_hat - xb
+                epoch_loss += float((resid * resid).sum())
+                scale = 1.0 / idx.size
+                dec_grads, dz = net_backward(params.decoder, dec_caches, 2.0 * resid)
+                enc_grads, _ = net_backward(params.encoder, enc_caches, dz)
+                _sgd_step(params.decoder, dec_grads, lr * scale)
+                _sgd_step(params.encoder, enc_grads, lr * scale)
+            if not math.isfinite(epoch_loss):
+                raise TrainingDiverged("pretrain", epoch)
+            history.append(epoch_loss / ds.n_samples)
     return params, history
 
 
@@ -501,6 +507,17 @@ def _train_local_nets(encoder: DenseNet, centroids: np.ndarray, ds_train: Labele
     return best_nets, centroids, trace
 
 
+def _checked_embedding(params: NetParams, x: np.ndarray, stage: str, epoch: int) -> np.ndarray:
+    """The embedding of x that `stage` ends with; raises TrainingDiverged unless every
+    row's squared norm, and so every entry, is finite."""
+    with _diverging():
+        z = encode(params, x)
+        finite = np.isfinite(np.einsum("ij,ij->i", z, z)).all()
+    if not finite:
+        raise TrainingDiverged(stage, epoch)
+    return z
+
+
 def deepcac_fit(ds_train: LabeledDataset, ds_val: LabeledDataset, k: int,
                 alpha: float = 5.0, beta: float = 20.0, delta: float = 1.0,
                 epochs: int = 20, lr: float = 2e-3, seed: int = 0, *,
@@ -517,7 +534,8 @@ def deepcac_fit(ds_train: LabeledDataset, ds_val: LabeledDataset, k: int,
     centroid, and the centroids take streaming updates. Stage 3 freezes the
     encoder, prunes empty clusters and trains one softmax net per cluster
     with early stopping on validation AUPRC. A non-finite epoch loss in
-    stage 1 or 2 raises TrainingDiverged naming the stage and epoch.
+    stage 1 or 2, or a non-finite embedding at the end of either, raises
+    TrainingDiverged naming the stage and epoch.
     """
     sub = np.random.SeedSequence(seed).generate_state(5)
     params = init_params(ds_train.n_features, hidden, latent, seed=int(sub[0]))
@@ -525,7 +543,7 @@ def deepcac_fit(ds_train: LabeledDataset, ds_val: LabeledDataset, k: int,
                                    seed=int(sub[1]), batch_size=batch_size)
 
     history: dict = {"pretrain_recon": pre_history}
-    z_all = encode(params, ds_train.features)
+    z_all = _checked_embedding(params, ds_train.features, "pretrain", pretrain_epochs)
     history["class_cosine_pretrain"] = _class_cosine(z_all, ds_train.labels)
 
     state = init_latent_clusters(params, ds_train, k, seed=int(sub[2]))
@@ -534,26 +552,27 @@ def deepcac_fit(ds_train: LabeledDataset, ds_val: LabeledDataset, k: int,
     rng = np.random.default_rng(int(sub[3]))
     x = ds_train.features
     stage2_loss = []
-    for epoch in range(1, epochs + 1):
-        epoch_total = 0.0
-        for idx in _batches(ds_train.n_samples, batch_size, rng):
-            parts, grads = forward_backward(params, head, x[idx], ds_train.labels[idx],
-                                            state.assignments[idx], state.centroids,
-                                            alpha, beta, delta)
-            epoch_total += parts.total
-            step = lr / idx.size
-            _sgd_step(params.encoder, grads["encoder"], step)
-            _sgd_step(params.decoder, grads["decoder"], step)
-            head.weight -= step * grads["head"]
-            zb = encode(params, x[idx])
-            update_assignments(state, zb, idx)
-            update_centroids_online(state, zb, idx)
-        if not math.isfinite(epoch_total):
-            raise TrainingDiverged("stage-2", epoch)
-        stage2_loss.append(epoch_total)
+    with _diverging():
+        for epoch in range(1, epochs + 1):
+            epoch_total = 0.0
+            for idx in _batches(ds_train.n_samples, batch_size, rng):
+                parts, grads = forward_backward(params, head, x[idx], ds_train.labels[idx],
+                                                state.assignments[idx], state.centroids,
+                                                alpha, beta, delta)
+                epoch_total += parts.total
+                step = lr / idx.size
+                _sgd_step(params.encoder, grads["encoder"], step)
+                _sgd_step(params.decoder, grads["decoder"], step)
+                head.weight -= step * grads["head"]
+                zb = encode(params, x[idx])
+                update_assignments(state, zb, idx)
+                update_centroids_online(state, zb, idx)
+            if not math.isfinite(epoch_total):
+                raise TrainingDiverged("stage-2", epoch)
+            stage2_loss.append(epoch_total)
     history["stage2_loss"] = stage2_loss
 
-    z_all = encode(params, ds_train.features)
+    z_all = _checked_embedding(params, ds_train.features, "stage-2", epochs)
     history["class_cosine_final"] = _class_cosine(z_all, ds_train.labels)
     if ds_train.n_classes == 2 and epochs > 0:
         bounds = ams_bounds(z_all, ds_train.labels, head)

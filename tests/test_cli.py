@@ -14,10 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cackit import experiments
 from cackit.cli import main
-from cackit.config import validate_config
+from cackit.config import DEFAULTS, validate_config
 from cackit.errors import ConfigInvalid, SchemaMismatch
 from cackit.experiments import compare_reports
 
@@ -140,7 +142,57 @@ class TestJobs:
         assert not (out / "sweep.csv").exists()
 
 
+def leaves(node: dict, path: str = "") -> list[str]:
+    """Dotted paths of every leaf of a config mapping (an empty mapping is a leaf)."""
+    out = []
+    for key, value in node.items():
+        here = f"{path}.{key}" if path else key
+        out.extend(leaves(value, here) if isinstance(value, dict) and value else [here])
+    return out
+
+
+SPEC_SECTIONS = ("split", "dataset.synthetic", "model.classifier")
+SPECIAL = [True, False, None, "", float("nan"), float("inf"), float("-inf"), 0, -1, -2.5, 2.5,
+           10**30, 2**63, 10**400, [], {}]
+ODD_SCALARS = st.one_of(st.booleans(), st.none(), st.integers(), st.floats(), st.text(max_size=4),
+                        st.sampled_from(SPECIAL))
+ODD_VALUES = st.one_of(
+    ODD_SCALARS, st.lists(ODD_SCALARS, max_size=3),
+    st.dictionaries(st.one_of(st.sampled_from(["k", "alpha", "model.k"]), st.text(max_size=3),
+                              st.integers()),
+                    st.one_of(ODD_SCALARS, st.lists(ODD_SCALARS, max_size=3)), max_size=2))
+
+
+def rejected_by_name_or_round_trips(leaf: str, value) -> None:
+    """validate_config with one leaf set either names that leaf (its spec section for a
+    spec-backed leaf, an axis under sweep.axes) or returns a config that re-validates
+    to itself; any other exception propagates."""
+    *parents, key = leaf.split(".")
+    raw = node = {}
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[key] = value
+    try:
+        cfg = validate_config(raw)
+    except ConfigInvalid as err:
+        section = leaf.rpartition(".")[0]
+        named = section if section in SPEC_SECTIONS else leaf
+        assert err.field == named or err.field.startswith(f"{leaf}."), (err.field, leaf, value)
+    else:
+        assert validate_config(cfg) == cfg, (leaf, value)
+
+
 class TestConfigValidation:
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(leaf=st.sampled_from(leaves(DEFAULTS)), value=ODD_VALUES)
+    def test_any_leaf_value_is_rejected_by_name_or_round_trips(self, leaf, value):
+        rejected_by_name_or_round_trips(leaf, value)
+
+    def test_every_leaf_takes_every_special_value(self):
+        for leaf in leaves(DEFAULTS):
+            for value in SPECIAL:
+                rejected_by_name_or_round_trips(leaf, value)
+
     def test_unknown_key_is_exit_code_two(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml")
         raw = yaml.safe_load(cfg.read_text())
@@ -242,6 +294,8 @@ class TestConfigValidation:
         ({"split.seed": -1}, "split"),
         ({"dataset.synthetic.seed": -1}, "dataset.synthetic"),
         ({"seeds": [-3]}, "seeds"),
+        ({"sweep.axes": {1: [2]}}, "sweep.axes.1"),
+        ({"model.deepcac.lr": 10**400}, "model.deepcac.lr"),
     ], ids=["split-sum", "n-clusters", "warp", "alpha-bool", "seed-bool", "batch-size",
             "local-epochs", "hidden-float", "delta-str", "lr-negative", "local-lr-zero",
             "scale-inf", "margin-nan", "deep-alpha-negative", "beta-bool", "split-seed-str",
@@ -249,7 +303,7 @@ class TestConfigValidation:
             "synthetic-seed-float", "standardize-str", "has-header-str", "save-models-str",
             "max-runs-negative", "max-runs-float", "output-dir-int", "output-dir-empty",
             "label-column-int", "csv-int", "split-seed-negative", "synthetic-seed-negative",
-            "seeds-negative"])
+            "seeds-negative", "axis-int", "lr-beyond-float"])
     def test_bad_value_is_exit_code_two_before_any_run(self, tmp_path, overrides, field):
         cfg = write_config(tmp_path / "c.yaml", **overrides)
         out = tmp_path / "out"
@@ -295,6 +349,21 @@ class TestConfigValidation:
                          "--set", "model.deepcac.lr=5.0"])
         assert code == 3
         assert "pretrain loss is non-finite at epoch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,stage", [
+        ("delta", 1e-10, "stage-2"), ("lr", 1.0, "pretrain"), ("lr", 1.5, "pretrain"),
+        ("lr", 2.5, "pretrain"), ("scale", 1e30, "stage-2"), ("alpha", 1e30, "stage-2"),
+        ("beta", 1e30, "stage-2"),
+    ])
+    def test_diverging_stage_is_named_and_writes_no_model(self, tmp_path, capsys, key, value, stage):
+        # n_features 10 at these seeds diverges within two epochs of each stage
+        cfg = write_config(tmp_path / "c.yaml", **{
+            "dataset.synthetic.n_features": 10,
+            "model.deepcac": {"pretrain_epochs": 2, "epochs": 2, "local_epochs": 2, key: value}})
+        out = tmp_path / "out"
+        assert main(["fit-deepcac", "--config", str(cfg), "--out", str(out)]) == 3
+        assert f"{stage} loss is non-finite" in capsys.readouterr().err
+        assert not any(b"NaN" in data or b"Infinity" in data for data in artifacts(out).values())
 
 
 class TestFitAndBaselines:
