@@ -21,7 +21,8 @@ import numpy as np
 from . import classifiers as _clf
 from .cluster_core import _score_by_route, kmeanspp_init, lloyd, nearest_centroids
 from .dataset import LabeledDataset
-from .errors import EmptyCluster, IllegalMove, InfeasibleInit, NotBinary, UntrainedModel
+from .errors import (EmptyCluster, IllegalMove, InfeasibleInit, NotBinary, SchemaMismatch,
+                     UntrainedModel)
 from .metrics import DECISION_THRESHOLD
 
 DEFAULT_MAX_ROUNDS = 100
@@ -309,7 +310,7 @@ def cac_model_to_json(model: CacModel) -> str:
 def cac_model_from_json(text: str) -> CacModel:
     d = json.loads(text)
     if d.get("schema") != 1 or d.get("kind") != "cac":
-        raise ValueError(f"unsupported model payload: {d.get('kind')}/{d.get('schema')}")
+        raise SchemaMismatch(f"unsupported model payload: {d.get('kind')}/{d.get('schema')}")
     return CacModel(
         centroids=np.asarray(d["centroids"], dtype=np.float64),
         classifiers=[_clf.classifier_from_dict(c) for c in d["classifiers"]],

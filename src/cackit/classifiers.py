@@ -9,7 +9,7 @@ import numpy as np
 
 from . import cluster_core
 from .dataset import LabeledDataset, _is_int, _is_number
-from .errors import DimensionMismatch, EmptyCluster, NotBinary, OneClassOnly
+from .errors import DimensionMismatch, EmptyCluster, InvalidSpec, NotBinary, OneClassOnly
 
 KINDS = ("logreg", "ridge", "perceptron", "knn")
 
@@ -30,17 +30,17 @@ class ClassifierSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown classifier kind {self.kind!r}")
+            raise InvalidSpec(f"unknown classifier kind {self.kind!r}")
         for name in ("learning_rate", "l2_penalty", "ridge_lambda"):
             if not _is_number(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+                raise InvalidSpec(f"{name} must be a finite number, got {getattr(self, name)!r}")
         for name in ("epochs", "k_neighbors"):
             if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+                raise InvalidSpec(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.learning_rate <= 0 or self.epochs < 1 or self.k_neighbors < 1:
-            raise ValueError("learning_rate, epochs and k_neighbors must be positive")
+            raise InvalidSpec("learning_rate, epochs and k_neighbors must be positive")
         if self.l2_penalty < 0 or self.ridge_lambda < 0:
-            raise ValueError("penalties must be non-negative")
+            raise InvalidSpec("penalties must be non-negative")
 
 
 @dataclass
@@ -221,7 +221,7 @@ def logloss_bounds(x: np.ndarray, y: np.ndarray, beta: np.ndarray) -> tuple[floa
     yv = np.asarray(y, dtype=np.int64)
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (x.shape[1],):
-        raise ValueError(f"beta shape {beta.shape} does not match {x.shape[1]} columns")
+        raise DimensionMismatch(f"beta shape {beta.shape} does not match {x.shape[1]} columns")
     n_pos = int((yv == 1).sum())
     n_neg = int((yv == 0).sum())
     if n_pos == 0 or n_neg == 0:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, KTooLarge, OneCluster
+from .errors import DimensionMismatch, InfeasibleInit, OneCluster
 
 LLOYD_MAX_ITER = 300
 LLOYD_TOL = 1e-6
@@ -79,7 +79,7 @@ def kmeanspp_init(features: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     n = x.shape[0]
     if not 1 <= k <= n:
-        raise KTooLarge(f"k={k} outside [1, {n}]")
+        raise InfeasibleInit(f"k={k} outside [1, {n}]")
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]
     d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1)
@@ -126,7 +126,7 @@ def lloyd(features: np.ndarray, init: np.ndarray, max_iter: int = LLOYD_MAX_ITER
         raise DimensionMismatch(f"init shape {c.shape} does not match data dim {x.shape[1]}")
     k = c.shape[0]
     if k > x.shape[0]:
-        raise KTooLarge(f"k={k} exceeds N={x.shape[0]}")
+        raise InfeasibleInit(f"k={k} exceeds N={x.shape[0]}")
 
     prev_assign: np.ndarray | None = None
     sse = np.inf

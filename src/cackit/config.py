@@ -152,7 +152,7 @@ def _check(node: dict, defaults: dict, path: str) -> None:
         if field in SPECS:
             try:
                 SPECS[field](**value)
-            except (TypeError, ValueError, InvalidSpec) as exc:
+            except (TypeError, InvalidSpec) as exc:
                 raise ConfigInvalid(field, str(exc)) from None
         elif field == "dataset.csv":
             if not (value is None or (isinstance(value, str) and value != "")):

@@ -11,15 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    EmptySplit,
-    InvalidDataset,
-    InvalidSpec,
-    MissingColumn,
-    NonFiniteValue,
-    ParseError,
-    TooFewRows,
-)
+from .errors import InvalidDataset, InvalidSpec, ParseError
 
 # features whose population std falls below this are treated as constant
 CONSTANT_FEATURE_STD = 1e-12
@@ -117,7 +109,7 @@ def load_csv(path, label_column: str, has_header: bool = True) -> LabeledDataset
         header = [f"x{j}" for j in range(len(rows[0]))]
         data_rows = rows
     if label_column not in header:
-        raise MissingColumn(f"label column {label_column!r} not in {header}")
+        raise InvalidDataset(f"label column {label_column!r} not in {header}")
     label_idx = header.index(label_column)
     feature_names = tuple(h for j, h in enumerate(header) if j != label_idx)
     if not feature_names:
@@ -143,7 +135,7 @@ def load_csv(path, label_column: str, has_header: bool = True) -> LabeledDataset
             except ValueError:
                 raise ParseError(r, j) from None
             if not math.isfinite(value):
-                raise NonFiniteValue(r, j)
+                raise ParseError(r, j, "non-finite value")
             feats[r, c] = value
             c += 1
     if len(label_code) < 2:
@@ -170,7 +162,7 @@ def standardize(ds: LabeledDataset) -> tuple[LabeledDataset, np.ndarray, np.ndar
     the transformed dataset along with the per-feature means and stds.
     """
     if ds.n_samples < 2:
-        raise TooFewRows("standardize needs at least 2 rows")
+        raise InvalidDataset("standardize needs at least 2 rows")
     mean = ds.features.mean(axis=0)
     std = ds.features.std(axis=0)
     std = np.where(std < CONSTANT_FEATURE_STD, 1.0, std)
@@ -271,7 +263,7 @@ def split(ds: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledD
     for name, chunks in zip(("train", "validation", "test"), parts):
         idx = np.sort(np.concatenate(chunks))
         if idx.size == 0:
-            raise EmptySplit(f"{name} split would be empty for N={ds.n_samples}")
+            raise InvalidDataset(f"{name} split would be empty for N={ds.n_samples}")
         out.append(ds.subset(idx))
     return out[0], out[1], out[2]
 

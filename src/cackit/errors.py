@@ -8,15 +8,12 @@ class CackitError(Exception):
 # --- dataset handling ---
 
 class InvalidDataset(CackitError):
-    """A dataset violates a structural invariant (shape, label range, finiteness)."""
-
-
-class MissingColumn(CackitError):
-    """The requested label column is not present in the file."""
+    """A dataset violates a structural invariant (shape, labels, finiteness, a
+    missing column, too few rows) or a split of it would be empty."""
 
 
 class ParseError(CackitError):
-    """A CSV cell could not be parsed as a finite real number."""
+    """A CSV cell could not be parsed as a finite real number, or a row has the wrong width."""
 
     def __init__(self, row: int, col: int, message: str = "could not parse cell"):
         self.row = row
@@ -24,35 +21,14 @@ class ParseError(CackitError):
         super().__init__(f"{message} (data row {row}, column {col})")
 
 
-class NonFiniteValue(CackitError):
-    """A feature cell parsed to NaN or infinity."""
-
-    def __init__(self, row: int, col: int):
-        self.row = row
-        self.col = col
-        super().__init__(f"non-finite value (data row {row}, column {col})")
-
-
-class TooFewRows(CackitError):
-    """The operation needs more rows than the dataset has."""
-
-
-class EmptySplit(CackitError):
-    """A requested split would leave train, validation or test empty."""
-
-
 class InvalidSpec(CackitError):
-    """A generator or split specification is out of range."""
+    """A generator, split, classifier or training setting is out of range."""
 
 
 # --- clustering ---
 
-class KTooLarge(CackitError):
-    """Requested more clusters than there are data points."""
-
-
 class DimensionMismatch(CackitError):
-    """Centroid and data dimensionalities disagree."""
+    """Array widths or batch sizes disagree (data, centroids, weights, layers, heads)."""
 
 
 class OneCluster(CackitError):
@@ -64,11 +40,11 @@ class EmptyCluster(CackitError):
 
 
 class NotBinary(CackitError):
-    """The operation requires binary 0/1 labels with both classes present."""
+    """The operation requires binary 0/1 labels, or a two-class head."""
 
 
 class InfeasibleInit(CackitError):
-    """No feasible initial clustering exists for the requested k."""
+    """k is outside [1, n], or no feasible initial clustering exists for it."""
 
 
 class IllegalMove(CackitError):
@@ -82,18 +58,10 @@ class UntrainedModel(CackitError):
 # --- classifiers / metrics ---
 
 class OneClassOnly(CackitError):
-    """Both classes are required but only one is present."""
-
-
-class NoPositives(CackitError):
-    """The metric is undefined without positive labels."""
+    """A class the operation needs is absent from the labels."""
 
 
 # --- neural nets ---
-
-class ShapeMismatch(CackitError):
-    """Inputs disagree with the network or head dimensions."""
-
 
 class TrainingDiverged(CackitError):
     """A training stage's loss, or the embedding the stage ends with, became non-finite."""
@@ -116,4 +84,4 @@ class ConfigInvalid(CackitError):
 
 
 class SchemaMismatch(CackitError):
-    """Report files do not share the expected metric schema."""
+    """A report or model file is not in the expected schema."""

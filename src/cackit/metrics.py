@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import NoPositives, OneClassOnly
+from .errors import OneClassOnly
 
 # a score of exactly 0.5 maps to the positive label everywhere in this package
 DECISION_THRESHOLD = 0.5
@@ -47,7 +47,7 @@ def auprc(scores, labels) -> float:
     y = np.asarray(labels, dtype=np.int64)
     n_pos = int((y == 1).sum())
     if n_pos == 0:
-        raise NoPositives("AUPRC is undefined without positive labels")
+        raise OneClassOnly("AUPRC is undefined without positive labels")
     order = np.argsort(-s, kind="mergesort")
     y_sorted = y[order]
     last = _group_ends(s[order]) - 1
@@ -102,15 +102,7 @@ class EvalReport:
     silhouette: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "auc": self.auc,
-            "auprc": self.auprc,
-            "f1": self.f1,
-            "n_test": self.n_test,
-            "support": list(self.support),
-            "confusion": [list(row) for row in self.confusion],
-            "silhouette": self.silhouette,
-        }
+        return asdict(self)
 
 
 def evaluate_binary(scores, labels, silhouette: float | None = None) -> EvalReport:
@@ -139,11 +131,11 @@ def macro_auprc(proba: np.ndarray, labels: np.ndarray, n_classes: int) -> float:
             continue
         vals.append(auprc(proba[:, c], mask))
     if not vals:
-        raise NoPositives("no class present in labels")
+        raise OneClassOnly("no class present in labels")
     return float(np.mean(vals))
 
 
-def evaluate_multiclass(proba, labels, n_classes: int, silhouette: float | None = None) -> EvalReport:
+def evaluate_multiclass(proba, labels, n_classes: int) -> EvalReport:
     """Macro one-vs-rest report; per-class AUC/AUPRC averaged over present classes."""
     p = np.asarray(proba, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -161,5 +153,4 @@ def evaluate_multiclass(proba, labels, n_classes: int, silhouette: float | None 
         n_test=int(y.size),
         support=cm.sum(axis=1).tolist(),
         confusion=cm.tolist(),
-        silhouette=silhouette,
     )

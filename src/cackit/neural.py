@@ -24,7 +24,8 @@ import numpy as np
 from . import metrics as _metrics
 from .cluster_core import _score_by_route, kmeanspp_init, lloyd, nearest_centroids
 from .dataset import LabeledDataset
-from .errors import OneClassOnly, ShapeMismatch, TrainingDiverged, UntrainedModel
+from .errors import (DimensionMismatch, InvalidSpec, NotBinary, OneClassOnly, SchemaMismatch,
+                     TrainingDiverged, UntrainedModel)
 
 NORM_FLOOR = 1e-12  # guards L2 normalization of near-zero vectors
 
@@ -59,7 +60,7 @@ def net_forward(net: DenseNet, x: np.ndarray) -> tuple[np.ndarray, list]:
     """Forward pass returning the output and per-layer caches for backprop."""
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != net.weights[0].shape[0]:
-        raise ShapeMismatch(f"input shape {h.shape} vs layer dim {net.weights[0].shape[0]}")
+        raise DimensionMismatch(f"input shape {h.shape} vs layer dim {net.weights[0].shape[0]}")
     caches = []
     last = len(net.weights) - 1
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -168,7 +169,7 @@ def ams_forward_backward(head: AmsHead, z: np.ndarray, y: np.ndarray,
     z = np.asarray(z, dtype=np.float64)
     yv = np.asarray(y, dtype=np.int64)
     if z.shape[1] != head.weight.shape[1]:
-        raise ShapeMismatch(f"latent dim {z.shape[1]} vs head dim {head.weight.shape[1]}")
+        raise DimensionMismatch(f"latent dim {z.shape[1]} vs head dim {head.weight.shape[1]}")
     zn, z_norms = _normalize_rows(z)
     wn, w_norms = _normalize_rows(head.weight)
     logits = head.scale * (zn @ wn.T)
@@ -212,7 +213,7 @@ def ams_bounds(z: np.ndarray, y: np.ndarray, head: AmsHead) -> AmsBounds:
     N*(1 + s*m) - T; otherwise the upper bound is reported as None.
     """
     if head.n_classes != 2:
-        raise OneClassOnly("bounds are defined for the binary head")
+        raise NotBinary("bounds are defined for the binary head")
     yv = np.asarray(y, dtype=np.int64)
     n_pos = int((yv == 1).sum())
     n_neg = int((yv == 0).sum())
@@ -265,11 +266,11 @@ def forward_backward(params: NetParams, head: AmsHead, x: np.ndarray, y: np.ndar
     assign = np.asarray(assignments, dtype=np.int64)
     cent = np.asarray(centroids, dtype=np.float64)
     if x.shape[0] != yv.shape[0] or x.shape[0] != assign.shape[0]:
-        raise ShapeMismatch("x, y and assignments must agree on the batch size")
+        raise DimensionMismatch("x, y and assignments must agree on the batch size")
 
     z, enc_caches = net_forward(params.encoder, x)
     if z.shape[1] != cent.shape[1]:
-        raise ShapeMismatch(f"latent dim {z.shape[1]} vs centroid dim {cent.shape[1]}")
+        raise DimensionMismatch(f"latent dim {z.shape[1]} vs centroid dim {cent.shape[1]}")
     x_hat, dec_caches = net_forward(params.decoder, z)
 
     resid = x_hat - x
@@ -281,7 +282,7 @@ def forward_backward(params: NetParams, head: AmsHead, x: np.ndarray, y: np.ndar
     if beta != 0.0:
         denom = n_pt - 1.0 + delta
         if (denom <= 0.0).any():
-            raise ValueError("n_j - 1 + delta must stay positive; raise delta")
+            raise InvalidSpec("n_j - 1 + delta must stay positive; raise delta")
         w_cluster = beta / denom
     else:
         w_cluster = np.zeros_like(n_pt)
@@ -393,7 +394,7 @@ def update_centroids_online(state: LatentClusterState, z_batch: np.ndarray,
     k, d = state.centroids.shape
     assign = state.assignments[np.asarray(indices)]
     if z.shape != (assign.size, d):
-        raise ShapeMismatch(f"batch shape {z.shape} vs {assign.size} indices and latent dim {d}")
+        raise DimensionMismatch(f"batch shape {z.shape} vs {assign.size} indices and latent dim {d}")
     hits = np.bincount(assign, minlength=k)
     # per-cluster row sums, each accumulated in batch order
     cells = (assign[:, None] * d + np.arange(d)).ravel()
@@ -655,7 +656,7 @@ def deepcac_model_to_json(model: DeepCacModel) -> str:
 def deepcac_model_from_json(text: str) -> DeepCacModel:
     d = json.loads(text)
     if d.get("schema") != 1 or d.get("kind") != "deepcac":
-        raise ValueError(f"unsupported model payload: {d.get('kind')}/{d.get('schema')}")
+        raise SchemaMismatch(f"unsupported model payload: {d.get('kind')}/{d.get('schema')}")
     head = AmsHead(np.asarray(d["head"]["weight"], dtype=np.float64),
                    float(d["head"]["scale"]), float(d["head"]["margin"]))
     return DeepCacModel(

@@ -5,7 +5,7 @@ import pytest
 
 from cackit import cluster_core
 from cackit.cluster_core import kmeanspp_init, lloyd, nearest_centroids, silhouette
-from cackit.errors import DimensionMismatch, KTooLarge, OneCluster
+from cackit.errors import DimensionMismatch, InfeasibleInit, OneCluster
 
 
 def blob_pair(n_per=50, gap=10.0, d=2, seed=0):
@@ -37,7 +37,7 @@ class TestKmeansppInit:
         assert sorted(map(tuple, cents)) == sorted(map(tuple, base))
 
     def test_k_too_large(self):
-        with pytest.raises(KTooLarge):
+        with pytest.raises(InfeasibleInit, match=r"k=4 outside \[1, 3\]"):
             kmeanspp_init(np.zeros((3, 2)), 4)
 
     def test_deterministic(self):

@@ -19,13 +19,7 @@ from cackit.dataset import (
     split,
     standardize,
 )
-from cackit.errors import (
-    EmptySplit,
-    InvalidSpec,
-    MissingColumn,
-    NonFiniteValue,
-    TooFewRows,
-)
+from cackit.errors import InvalidDataset, InvalidSpec, ParseError
 
 
 class TestLoadCsv:
@@ -41,20 +35,20 @@ class TestLoadCsv:
     def test_nan_feature_cell_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,y\nNaN,0\n1.0,1\n")
-        with pytest.raises(NonFiniteValue) as exc:
+        with pytest.raises(ParseError, match=r"^non-finite value \(data row 0, column 0\)$") as exc:
             load_csv(p, "y")
-        assert exc.value.row == 0
+        assert (exc.value.row, exc.value.col) == (0, 0)
 
     def test_label_only_file_rejected(self, tmp_path):
         p = tmp_path / "thin.csv"
         p.write_text("y\n0\n1\n")
-        with pytest.raises(Exception):
+        with pytest.raises(InvalidDataset, match="no feature columns"):
             load_csv(p, "y")
 
     def test_missing_label_column(self, tmp_path):
         p = tmp_path / "no_label.csv"
         p.write_text("a,b\n1,2\n")
-        with pytest.raises(MissingColumn):
+        with pytest.raises(InvalidDataset, match="label column 'weird' not in"):
             load_csv(p, "weird")
 
     def test_round_trip_preserves_values(self, tmp_path):
@@ -101,7 +95,7 @@ class TestStandardize:
 
     def test_single_row_rejected(self):
         ds = LabeledDataset.from_arrays(np.array([[1.0, 2.0]]), np.array([0]), n_classes=2)
-        with pytest.raises(TooFewRows):
+        with pytest.raises(InvalidDataset, match="standardize needs at least 2 rows"):
             standardize(ds)
 
     def test_apply_standardization_matches_train_transform(self):
@@ -150,7 +144,7 @@ class TestSplit:
     def test_empty_split_raises(self):
         ds = LabeledDataset.from_arrays(np.random.default_rng(0).normal(size=(4, 2)),
                                         np.array([0, 1, 0, 1]))
-        with pytest.raises(EmptySplit):
+        with pytest.raises(InvalidDataset, match="split would be empty for N=4"):
             split(ds, SplitSpec(0.9, 0.05, 0.05, seed=0))
 
     def test_bad_fractions_rejected(self):

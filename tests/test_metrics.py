@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cackit.errors import NoPositives, OneClassOnly
+from cackit.errors import OneClassOnly
 from cackit.metrics import (
     auc,
     auprc,
@@ -86,7 +86,7 @@ class TestAuprc:
         assert abs(np.mean(vals) - p) < 0.05
 
     def test_no_positives_rejected(self):
-        with pytest.raises(NoPositives):
+        with pytest.raises(OneClassOnly, match="AUPRC is undefined without positive labels"):
             auprc([0.5, 0.6], [0, 0])
 
     @given(score_label_sets, st.randoms(use_true_random=False))

@@ -20,8 +20,8 @@ from cackit.classifiers import constant_classifier
 from cackit.cluster_core import kmeanspp_init, lloyd, nearest_centroids
 from cackit.errors import (
     DimensionMismatch,
+    NotBinary,
     OneClassOnly,
-    ShapeMismatch,
     TrainingDiverged,
     UntrainedModel,
 )
@@ -198,9 +198,9 @@ class TestForwardBackward:
 
     def test_shape_mismatches_rejected(self):
         params, head, x, y, assign, cent = self.setup_case(4)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DimensionMismatch, match="must agree on the batch size"):
             forward_backward(params, head, x, y[:-1], assign, cent, 1.0, 1.0, 1.0)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DimensionMismatch, match="latent dim 3 vs centroid dim 2"):
             forward_backward(params, head, x, y, assign, cent[:, :-1], 1.0, 1.0, 1.0)
 
 
@@ -236,7 +236,7 @@ class TestAmsForwardBackward:
 
     def test_latent_width_checked(self, rng):
         head = init_head(2, 4, seed=0)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DimensionMismatch, match="latent dim 5 vs head dim 4"):
             ams_forward_backward(head, rng.normal(size=(3, 5)),
                                  np.array([0, 1, 1]), np.ones(3))
 
@@ -290,10 +290,10 @@ class TestAmsBounds:
 
     def test_binary_only(self, rng):
         head = init_head(3, 4, seed=1)
-        with pytest.raises(OneClassOnly):
+        with pytest.raises(NotBinary, match="bounds are defined for the binary head"):
             ams_bounds(rng.normal(size=(5, 4)), np.array([0, 1, 2, 0, 1]), head)
         head2 = init_head(2, 4, seed=1)
-        with pytest.raises(OneClassOnly):
+        with pytest.raises(OneClassOnly, match="both classes are required"):
             ams_bounds(rng.normal(size=(3, 4)), np.array([1, 1, 1]), head2)
 
 
@@ -460,9 +460,9 @@ class TestClosedFormCentroidUpdate:
     def test_batch_shape_must_match(self):
         state = LatentClusterState(np.zeros((2, 3)), np.zeros(4, dtype=np.int64),
                                    np.ones(2, dtype=np.int64))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DimensionMismatch, match=r"batch shape \(2, 2\) vs 2 indices"):
             update_centroids_online(state, np.zeros((2, 2)), np.array([0, 1]))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DimensionMismatch, match=r"batch shape \(3, 3\) vs 2 indices"):
             update_centroids_online(state, np.zeros((3, 3)), np.array([0, 1]))
 
 
@@ -592,7 +592,7 @@ class TestPredict:
         cac = CacModel(np.zeros((2, d)), [constant_classifier(0)] * 2, 0.5, [0.0])
         with pytest.raises(DimensionMismatch):
             cac_predict_batch(cac, np.zeros(d))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DimensionMismatch, match=r"input shape \(6,\) vs layer dim 6"):
             deepcac_predict_batch(deep, np.zeros(d))
 
     def test_untrained_model_rejected(self):
