@@ -19,10 +19,9 @@ from typing import Callable
 import numpy as np
 
 from . import classifiers as _clf
-from .cluster_core import _score_by_route, kmeanspp_init, lloyd, nearest_centroids
+from .cluster_core import _load_model, kmeanspp_init, lloyd, nearest_centroids
 from .dataset import LabeledDataset
-from .errors import (EmptyCluster, IllegalMove, InfeasibleInit, NotBinary, SchemaMismatch,
-                     UntrainedModel)
+from .errors import EmptyCluster, IllegalMove, InfeasibleInit, NotBinary, UntrainedModel
 from .metrics import DECISION_THRESHOLD
 
 DEFAULT_MAX_ROUNDS = 100
@@ -287,9 +286,7 @@ def cac_predict_batch(model: CacModel, features: np.ndarray) -> tuple[np.ndarray
     if not model.classifiers:
         raise UntrainedModel("model has no per-cluster classifiers")
     x = np.asarray(features, dtype=np.float64)
-    routes = nearest_centroids(x, model.centroids)
-    scores = _score_by_route(x, routes, lambda j, xj: _clf.predict_proba_batch(model.classifiers[j], xj),
-                             np.empty(x.shape[0]))
+    scores = _clf._predict_proba_routed(model.classifiers, x, nearest_centroids(x, model.centroids))
     labels = (scores >= DECISION_THRESHOLD).astype(np.int64)
     return labels, scores
 
@@ -308,12 +305,9 @@ def cac_model_to_json(model: CacModel) -> str:
 
 
 def cac_model_from_json(text: str) -> CacModel:
-    d = json.loads(text)
-    if d.get("schema") != 1 or d.get("kind") != "cac":
-        raise SchemaMismatch(f"unsupported model payload: {d.get('kind')}/{d.get('schema')}")
-    return CacModel(
+    return _load_model(text, "cac", lambda d: CacModel(
         centroids=np.asarray(d["centroids"], dtype=np.float64),
         classifiers=[_clf.classifier_from_dict(c) for c in d["classifiers"]],
         alpha=float(d["alpha"]),
         trace=[float(v) for v in d["trace"]],
-    )
+    ))

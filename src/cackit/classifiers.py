@@ -69,6 +69,17 @@ def _sigmoid(t: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def _linear_proba(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sigmoid of x . w[:-1] + w[-1] for each row of x, where w holds one
+    weight row (bias last) per row of x, or a single row for all of them.
+
+    A row-wise product rather than a matrix product, so a row scores the
+    same bits alone or in a batch of any size.
+    """
+    t = np.einsum("nd,nd->n", np.ascontiguousarray(x), w[:, :-1]) + w[:, -1]
+    return _sigmoid(t, np.exp(-np.abs(t)))
+
+
 def _softplus(t: np.ndarray, e: np.ndarray) -> np.ndarray:
     """log(1 + exp(t)) from e = exp(-|t|), evaluated stably."""
     return np.maximum(t, 0.0) + np.log1p(e)
@@ -182,15 +193,19 @@ def constant_classifier(label: int) -> TrainedClassifier:
     return TrainedClassifier(kind="constant", constant_proba=p, training_log=0.0)
 
 
+def _check_width(clf: TrainedClassifier, width: int) -> None:
+    expected = (clf.train_features.shape[1] if clf.kind == "knn"
+                else clf.weights.shape[0] - 1)
+    if width != expected:
+        raise DimensionMismatch(f"expected {expected} features, got {width}")
+
+
 def predict_proba_batch(clf: TrainedClassifier, x: np.ndarray) -> np.ndarray:
     """Positive-class probability for each row of x."""
     x = np.asarray(x, dtype=np.float64)
     if clf.kind == "constant":
         return np.full(x.shape[0], clf.constant_proba)
-    expected = (clf.train_features.shape[1] if clf.kind == "knn"
-                else clf.weights.shape[0] - 1)
-    if x.shape[1] != expected:
-        raise DimensionMismatch(f"expected {expected} features, got {x.shape[1]}")
+    _check_width(clf, x.shape[1])
     if clf.kind == "knn":
         # rows in blocks whose (rows, n_train, d) difference tensor stays bounded
         train = clf.train_features
@@ -203,8 +218,38 @@ def predict_proba_batch(clf: TrainedClassifier, x: np.ndarray) -> np.ndarray:
             order = np.argsort(diff.sum(axis=2), axis=1, kind="stable")[:, :k]
             out[start:start + step] = clf.train_labels[order].mean(axis=1)
         return out
-    t = _augment(x) @ clf.weights
-    return _sigmoid(t, np.exp(-np.abs(t)))
+    return _linear_proba(x, clf.weights[None])
+
+
+def _predict_proba_routed(classifiers: list[TrainedClassifier], x: np.ndarray,
+                          routes: np.ndarray) -> np.ndarray:
+    """`predict_proba_batch` of each row of x under `classifiers[routes[i]]`.
+
+    Every row takes its cluster's weight row from a (k, d+1) table built
+    here, so all linear rows score in one pass; rows of a constant cluster
+    take its `constant_proba`. Only knn clusters, which have no weight row,
+    are scored one cluster at a time.
+    """
+    table = np.zeros((len(classifiers), x.shape[1] + 1))
+    constant = np.full(len(classifiers), np.nan)  # NaN where the cluster is not constant
+    knn = []
+    for j, clf in enumerate(classifiers):
+        if clf.kind == "constant":
+            constant[j] = clf.constant_proba
+        elif clf.kind == "knn":
+            knn.append(j)
+        else:
+            _check_width(clf, x.shape[1])
+            table[j] = clf.weights
+    out = _linear_proba(x, table[routes])
+    fixed = constant[routes]
+    np.copyto(out, fixed, where=~np.isnan(fixed))
+    if knn:
+        rows = np.isin(routes, knn)
+        out[rows] = cluster_core._score_by_route(
+            x[rows], routes[rows], lambda j, xj: predict_proba_batch(classifiers[j], xj),
+            np.empty(int(rows.sum())))
+    return out
 
 
 def logloss_bounds(x: np.ndarray, y: np.ndarray, beta: np.ndarray) -> tuple[float, float, float]:

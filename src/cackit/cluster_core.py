@@ -1,13 +1,14 @@
-"""Plain k-means (k-means++ init, Lloyd iteration), nearest-centroid routing
-and the silhouette score."""
+"""Plain k-means (k-means++ init, Lloyd iteration), nearest-centroid routing,
+the silhouette score, and the saved-model reader both routed model kinds share."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InfeasibleInit, OneCluster
+from .errors import DimensionMismatch, InfeasibleInit, OneCluster, SchemaMismatch
 
 LLOYD_MAX_ITER = 300
 LLOYD_TOL = 1e-6
@@ -65,6 +66,29 @@ def _score_by_route(x: np.ndarray, routes: np.ndarray, score, out: np.ndarray) -
         rows = routes == j
         out[rows] = score(j, x[rows])
     return out
+
+
+def _load_model(text: str, kind: str, build):
+    """`build` applied to the JSON object of a saved `kind` model, schema 1.
+
+    Text that is not such an object, or an object `build` cannot read (a
+    missing field, a value of the wrong type or shape), is a SchemaMismatch
+    that names the fault.
+    """
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SchemaMismatch(f"model payload is not JSON: {e}") from None
+    if not isinstance(d, dict):
+        raise SchemaMismatch(f"model payload is a JSON {type(d).__name__}, not an object")
+    if d.get("schema") != 1 or d.get("kind") != kind:
+        raise SchemaMismatch(f"unsupported model payload: {d.get('kind')}/{d.get('schema')}")
+    try:
+        return build(d)
+    except KeyError as e:
+        raise SchemaMismatch(f"{kind} model payload has no field {e.args[0]!r}") from None
+    except (TypeError, ValueError) as e:
+        raise SchemaMismatch(f"{kind} model payload is malformed: {e}") from None
 
 
 def kmeanspp_init(features: np.ndarray, k: int, seed: int = 0) -> np.ndarray:

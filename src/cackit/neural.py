@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics as _metrics
-from .cluster_core import _score_by_route, kmeanspp_init, lloyd, nearest_centroids
+from .cluster_core import _load_model, _score_by_route, kmeanspp_init, lloyd, nearest_centroids
 from .dataset import LabeledDataset
-from .errors import (DimensionMismatch, InvalidSpec, NotBinary, OneClassOnly, SchemaMismatch,
-                     TrainingDiverged, UntrainedModel)
+from .errors import (DimensionMismatch, InvalidSpec, NotBinary, OneClassOnly, TrainingDiverged,
+                     UntrainedModel)
 
 NORM_FLOOR = 1e-12  # guards L2 normalization of near-zero vectors
 
@@ -654,19 +654,15 @@ def deepcac_model_to_json(model: DeepCacModel) -> str:
 
 
 def deepcac_model_from_json(text: str) -> DeepCacModel:
-    d = json.loads(text)
-    if d.get("schema") != 1 or d.get("kind") != "deepcac":
-        raise SchemaMismatch(f"unsupported model payload: {d.get('kind')}/{d.get('schema')}")
-    head = AmsHead(np.asarray(d["head"]["weight"], dtype=np.float64),
-                   float(d["head"]["scale"]), float(d["head"]["margin"]))
-    return DeepCacModel(
+    return _load_model(text, "deepcac", lambda d: DeepCacModel(
         encoder=_net_from_dict(d["encoder"]),
         centroids=np.asarray(d["centroids"], dtype=np.float64),
         local_nets=[_net_from_dict(n) for n in d["local_nets"]],
         alpha=float(d["alpha"]),
         beta=float(d["beta"]),
         delta=float(d["delta"]),
-        head=head,
+        head=AmsHead(np.asarray(d["head"]["weight"], dtype=np.float64),
+                     float(d["head"]["scale"]), float(d["head"]["margin"])),
         n_classes=int(d["n_classes"]),
         history=d.get("history", {}),
-    )
+    ))

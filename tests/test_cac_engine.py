@@ -28,8 +28,14 @@ from cackit.cac_engine import (
     cluster_cost,
     total_cost,
 )
-from cackit.classifiers import ClassifierSpec, constant_classifier, train_per_cluster
-from cackit.cluster_core import kmeanspp_init, lloyd
+from cackit.classifiers import (
+    ClassifierSpec,
+    _predict_proba_routed,
+    constant_classifier,
+    predict_proba_batch,
+    train_per_cluster,
+)
+from cackit.cluster_core import kmeanspp_init, lloyd, nearest_centroids
 from cackit.dataset import LabeledDataset, SyntheticSpec, make_classification
 from cackit.errors import DimensionMismatch, EmptyCluster, IllegalMove, InfeasibleInit, NotBinary
 
@@ -539,9 +545,40 @@ class TestPrediction:
         for i in range(feats.shape[0]):
             lab, sc = cac_predict(model, feats[i])
             assert lab == labels[i]
-            # BLAS may sum a many-row product in another order than a one-row one
-            assert sc == pytest.approx(scores[i], abs=1e-12)
+            assert sc == scores[i]
             assert (lab, sc) == tuple(v[0] for v in cac_predict_batch(model, feats[i][None]))
+
+    @pytest.mark.parametrize("kind", ["logreg", "ridge", "perceptron", "knn"])
+    def test_score_is_the_same_bits_in_any_batch(self, kind):
+        spec = SyntheticSpec(n_samples=300, n_features=5, n_clusters=4, ics=1.0, ocs=1.5, seed=3)
+        ds = make_classification(spec)
+        run = cac_fit(ds, 4, 0.5, seed=3)
+        local = train_per_cluster(run.state, ds, ClassifierSpec(kind=kind, epochs=50))
+        local[1], local[3] = constant_classifier(0), constant_classifier(1)
+        model = CacModel(run.state.centroids.copy(), local, 0.5, run.cost_trace)
+        x = ds.features
+        labels, scores = cac_predict_batch(model, x)
+        assert set(nearest_centroids(x, model.centroids)) == {0, 1, 2, 3}
+        for step in (1, 7, 64):
+            parts = [cac_predict_batch(model, x[i:i + step]) for i in range(0, len(x), step)]
+            np.testing.assert_array_equal(np.concatenate([s for _, s in parts]), scores)
+            np.testing.assert_array_equal(np.concatenate([lab for lab, _ in parts]), labels)
+        np.testing.assert_array_equal(cac_predict_batch(model, np.asfortranarray(x))[1], scores)
+        singles = [cac_predict(model, row) for row in x]
+        np.testing.assert_array_equal([sc for _, sc in singles], scores)
+        np.testing.assert_array_equal([lab for lab, _ in singles], labels)
+
+    @pytest.mark.parametrize("kind", ["logreg", "ridge", "perceptron"])
+    def test_linear_classifier_scores_as_the_routed_pass(self, kind, rng):
+        spec = SyntheticSpec(n_samples=300, n_features=5, n_clusters=3, ics=1.0, ocs=1.5, seed=4)
+        ds = make_classification(spec)
+        run = cac_fit(ds, 3, 0.5, seed=4)
+        local = train_per_cluster(run.state, ds, ClassifierSpec(kind=kind, epochs=50))
+        x = rng.normal(size=(200, 5))
+        routes = rng.integers(0, 3, 200)
+        routed = _predict_proba_routed(local, x, routes)
+        for j, clf in enumerate(local):
+            np.testing.assert_array_equal(predict_proba_batch(clf, x[routes == j]), routed[routes == j])
 
     @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((1, 2))], ids=["wrong-length", "two-d"])
     def test_point_of_wrong_shape_rejected(self, x):

@@ -97,3 +97,18 @@ def test_logloss_bounds_beta_width_is_dimension_mismatch():
 def test_unknown_model_payload_is_schema_mismatch(load, payload, message):
     with pytest.raises(SchemaMismatch, match=f"unsupported model payload: {message}$"):
         load(payload)
+
+
+@pytest.mark.parametrize("load, payload, message", [
+    (cac_model_from_json, '{"schema": 1, "kind": "cac"}', "cac model payload has no field 'centroids'"),
+    (cac_model_from_json, '{"schema": 1, "kind": "cac", "centroids": [[0.0]], "classifiers": 5}',
+     "cac model payload is malformed: 'int' object is not iterable"),
+    (deepcac_model_from_json, '{"schema": 1, "kind": "deepcac"}', "deepcac model payload has no field 'encoder'"),
+    (cac_model_from_json, "[1]", "model payload is a JSON list, not an object"),
+    (deepcac_model_from_json, "[1]", "model payload is a JSON list, not an object"),
+    (cac_model_from_json, "not json", "model payload is not JSON: Expecting value"),
+    (deepcac_model_from_json, "not json", "model payload is not JSON: Expecting value"),
+])
+def test_malformed_model_payload_is_schema_mismatch(load, payload, message):
+    with pytest.raises(SchemaMismatch, match=f"^{message}"):
+        load(payload)
