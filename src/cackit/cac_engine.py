@@ -12,14 +12,13 @@ consecutive points against all k clusters at once.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import classifiers as _clf
-from .cluster_core import _load_model, kmeanspp_init, lloyd, nearest_centroids
+from .cluster_core import _dump_model, _load_model, kmeanspp_init, lloyd, nearest_centroids
 from .dataset import LabeledDataset
 from .errors import EmptyCluster, IllegalMove, InfeasibleInit, NotBinary, UntrainedModel
 from .metrics import DECISION_THRESHOLD
@@ -293,15 +292,12 @@ def cac_predict_batch(model: CacModel, features: np.ndarray) -> tuple[np.ndarray
 
 def cac_model_to_json(model: CacModel) -> str:
     """Serialize to versioned JSON; floats round-trip exactly."""
-    payload = {
-        "schema": 1,
-        "kind": "cac",
+    return _dump_model("cac", {
         "alpha": model.alpha,
         "centroids": model.centroids.tolist(),
         "classifiers": [_clf.classifier_to_dict(c) for c in model.classifiers],
         "trace": list(model.trace),
-    }
-    return json.dumps(payload, indent=2)
+    })
 
 
 def cac_model_from_json(text: str) -> CacModel:

@@ -54,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> int:
     cfg = load_config(args.config)
-    cfg["task"] = args.command
     if args.seed is not None:
         try:
             cfg["seeds"] = [int(s) for s in str(args.seed).split(",") if s.strip() != ""]
@@ -65,8 +64,8 @@ def _run(args) -> int:
     for item in args.overrides:
         key, value = parse_override(item)
         set_path(cfg, key, value)
+    cfg["task"] = args.command  # the subcommand wins over any task in the file or a --set
     cfg = validate_config(cfg)
-    cfg["task"] = args.command  # the subcommand wins over any task in the file
     out_dir = Path(args.out) if args.out else Path(cfg["output_dir"])
     manifest = run_task(cfg, out_dir, jobs=args.jobs)
     print(f"{args.command}: wrote {manifest['n_runs']} run(s) to {out_dir}")

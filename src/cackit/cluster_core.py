@@ -1,5 +1,5 @@
-"""Plain k-means (k-means++ init, Lloyd iteration), nearest-centroid routing,
-the silhouette score, and the saved-model reader both routed model kinds share."""
+"""Plain k-means (k-means++ init, Lloyd iteration), nearest-centroid routing, the
+silhouette score, and the saved-model reader and writer both routed model kinds share."""
 
 from __future__ import annotations
 
@@ -16,6 +16,8 @@ LLOYD_TOL = 1e-6
 # distances) or kNN scoring (rows, n_train, d differences) builds at once: 8 MB
 # of float64
 ROUTE_BLOCK_ELEMENTS = 1 << 20
+# the "schema" field of every saved model file
+MODEL_SCHEMA = 1
 
 
 @dataclass
@@ -68,8 +70,13 @@ def _score_by_route(x: np.ndarray, routes: np.ndarray, score, out: np.ndarray) -
     return out
 
 
+def _dump_model(kind: str, fields: dict) -> str:
+    """A saved `kind` model: the schema and kind, then `fields` in their order."""
+    return json.dumps({"schema": MODEL_SCHEMA, "kind": kind, **fields}, indent=2)
+
+
 def _load_model(text: str, kind: str, build):
-    """`build` applied to the JSON object of a saved `kind` model, schema 1.
+    """`build` applied to the JSON object of a saved `kind` model, schema MODEL_SCHEMA.
 
     Text that is not such an object, or an object `build` cannot read (a
     missing field, a value of the wrong type or shape), is a SchemaMismatch
@@ -81,7 +88,7 @@ def _load_model(text: str, kind: str, build):
         raise SchemaMismatch(f"model payload is not JSON: {e}") from None
     if not isinstance(d, dict):
         raise SchemaMismatch(f"model payload is a JSON {type(d).__name__}, not an object")
-    if d.get("schema") != 1 or d.get("kind") != kind:
+    if d.get("schema") != MODEL_SCHEMA or d.get("kind") != kind:
         raise SchemaMismatch(f"unsupported model payload: {d.get('kind')}/{d.get('schema')}")
     try:
         return build(d)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 
 import yaml
 
@@ -116,6 +117,15 @@ POSITIVE = {"model.k", "sweep.max_runs"} | {
 SIGNED = {"model.alpha", "model.alpha_grid"}
 # sections checked by building the spec that consumes them
 SPECS = {"split": SplitSpec, "dataset.synthetic": SyntheticSpec, "model.classifier": ClassifierSpec}
+# most entries the gate lets the config give one array: 2**31 float64 entries are 16 GiB,
+# and a run holds several arrays of its data's size, so a larger one cannot run in memory
+MAX_ARRAY_ELEMENTS = 2**31
+# the (rows, columns) fields of every array whose size the config sets: the synthetic
+# feature matrix and the DeepCAC encoder and local-net weight matrices
+SIZED_ARRAYS = (("dataset.synthetic.n_samples", "dataset.synthetic.n_features"),
+                ("dataset.synthetic.n_features", "model.deepcac.hidden"),
+                ("model.deepcac.hidden", "model.deepcac.latent"),
+                ("model.deepcac.latent", "model.deepcac.local_hidden"))
 
 
 def _check_leaf(value, default, field: str) -> None:
@@ -170,12 +180,28 @@ def _check(node: dict, defaults: dict, path: str) -> None:
             _check_leaf(value, default, field)
 
 
+def _check_sizes(cfg: dict) -> None:
+    """Reject an array of SIZED_ARRAYS with more than MAX_ARRAY_ELEMENTS entries, before
+    anything allocates; the error names the larger dimension's field (its section, for a
+    spec-backed field)."""
+    for fields in SIZED_ARRAYS:
+        dims = [int(functools.reduce(dict.__getitem__, f.split("."), cfg)) for f in fields]
+        if dims[0] * dims[1] > MAX_ARRAY_ELEMENTS:
+            field = fields[dims.index(max(dims))]
+            section = field.rpartition(".")[0]
+            raise ConfigInvalid(section if section in SPECS else field,
+                                f"{fields[0]} * {fields[1]} = {dims[0] * dims[1]} entries, "
+                                f"above the cap of {MAX_ARRAY_ELEMENTS}")
+
+
 def validate_config(raw: dict) -> dict:
-    """Overlay onto the defaults, reject unknown keys, and check every leaf."""
+    """Overlay onto the defaults, reject unknown keys, check every leaf, and cap the size
+    of every array the config sizes."""
     if not isinstance(raw, dict):
         raise ConfigInvalid("", "config root must be a mapping")
     cfg = _merge(DEFAULTS, raw, "")
     _check(cfg, DEFAULTS, "")
+    _check_sizes(cfg)
     return cfg
 
 

@@ -166,8 +166,7 @@ def standardize(ds: LabeledDataset) -> tuple[LabeledDataset, np.ndarray, np.ndar
     mean = ds.features.mean(axis=0)
     std = ds.features.std(axis=0)
     std = np.where(std < CONSTANT_FEATURE_STD, 1.0, std)
-    feats = (ds.features - mean) / std
-    return LabeledDataset(feats, ds.labels, ds.feature_names, ds.n_classes), mean, std
+    return apply_standardization(ds, mean, std), mean, std
 
 
 def apply_standardization(ds: LabeledDataset, mean: np.ndarray, std: np.ndarray) -> LabeledDataset:

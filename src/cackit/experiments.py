@@ -128,12 +128,11 @@ def _logloss_diagnostics(run: cac_engine.CacRun, train: LabeledDataset,
     for j, clf in enumerate(local):
         if clf.kind != "logreg":
             continue
+        # train_per_cluster gives a single-class cluster a constant classifier, so a
+        # logreg cluster holds both classes
         rows = run.state.assignments == j
-        xj = np.hstack([train.features[rows], np.ones((int(rows.sum()), 1))])
-        yj = train.labels[rows]
-        if not ((yj == 0).any() and (yj == 1).any()):
-            continue
-        lower, upper, actual = classifiers.logloss_bounds(xj, yj, clf.weights)
+        lower, upper, actual = classifiers.logloss_bounds(
+            classifiers._augment(train.features[rows]), train.labels[rows], clf.weights)
         out.append({"cluster": j, "lower": lower, "actual": actual, "upper": upper,
                     "holds": bool(lower - 1e-9 <= actual <= upper + 1e-9)})
     return out
@@ -187,28 +186,27 @@ def run_baseline(cfg: dict, run_seed: int) -> tuple[dict, str | None]:
     shared = {key: value for key, value in m["deepcac"].items()
               if key not in ("alpha", "beta", "delta", "epochs")}
     model = neural.kmz_fit(train, val, m["k"], seed=run_seed, **shared)
-    report, diagnostics = _evaluate_neural(model, test)
-    return (_report_dict(cfg, run_seed, "kmz", report, diagnostics),
-            neural.deepcac_model_to_json(model))
+    return _neural_result(cfg, run_seed, "kmz", model, test)
 
 
-def _evaluate_neural(model: neural.DeepCacModel, test: LabeledDataset) -> tuple[metrics.EvalReport, dict]:
+def _neural_result(cfg: dict, run_seed: int, method: str, model: neural.DeepCacModel,
+                   test: LabeledDataset) -> tuple[dict, str]:
+    """(report dict, serialized model) of a fitted DeepCAC-kind model scored on the test set."""
     _, probs = neural.deepcac_predict_batch(model, test.features)
     if model.n_classes == 2:
         report = metrics.evaluate_binary(probs[:, 1], test.labels)
     else:
         report = metrics.evaluate_multiclass(probs, test.labels, model.n_classes)
     diagnostics = {"history": model.history, "clusters_kept": model.k}
-    return report, diagnostics
+    return (_report_dict(cfg, run_seed, method, report, diagnostics),
+            neural.deepcac_model_to_json(model))
 
 
 def run_fit_deepcac(cfg: dict, run_seed: int) -> tuple[dict, str]:
     train, val, test = prepare_data(cfg, run_seed)
     model = neural.deepcac_fit(train, val, cfg["model"]["k"], seed=run_seed,
                                **cfg["model"]["deepcac"])
-    report, diagnostics = _evaluate_neural(model, test)
-    return (_report_dict(cfg, run_seed, "deepcac", report, diagnostics),
-            neural.deepcac_model_to_json(model))
+    return _neural_result(cfg, run_seed, "deepcac", model, test)
 
 
 def _report_dict(cfg: dict, run_seed: int, method: str, report: metrics.EvalReport,

@@ -105,20 +105,20 @@ class EvalReport:
         return asdict(self)
 
 
+def _report(cm: np.ndarray, auc_value: float, auprc_value: float,
+            silhouette: float | None = None) -> EvalReport:
+    """The report of a confusion matrix (rows are true classes) and two ranking metrics."""
+    return EvalReport(auc=auc_value, auprc=auprc_value, f1=_f1(cm), n_test=int(cm.sum()),
+                      support=cm.sum(axis=1).tolist(), confusion=cm.tolist(),
+                      silhouette=silhouette)
+
+
 def evaluate_binary(scores, labels, silhouette: float | None = None) -> EvalReport:
     """Report for positive-class scores; labels are predicted 1 at score >= 0.5."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     cm = confusion((s >= DECISION_THRESHOLD).astype(np.int64), y, 2)
-    return EvalReport(
-        auc=auc(s, y),
-        auprc=auprc(s, y),
-        f1=_f1(cm),
-        n_test=int(y.size),
-        support=cm.sum(axis=1).tolist(),
-        confusion=cm.tolist(),
-        silhouette=silhouette,
-    )
+    return _report(cm, auc(s, y), auprc(s, y), silhouette)
 
 
 def macro_auprc(proba: np.ndarray, labels: np.ndarray, n_classes: int) -> float:
@@ -146,11 +146,4 @@ def evaluate_multiclass(proba, labels, n_classes: int) -> EvalReport:
         if 0 < mask.sum() < y.size:
             aucs.append(auc(p[:, c], mask))
     cm = confusion(pred, y, n_classes)
-    return EvalReport(
-        auc=float(np.mean(aucs)) if aucs else 0.5,
-        auprc=macro_auprc(p, y, n_classes),
-        f1=_f1(cm),
-        n_test=int(y.size),
-        support=cm.sum(axis=1).tolist(),
-        confusion=cm.tolist(),
-    )
+    return _report(cm, float(np.mean(aucs)) if aucs else 0.5, macro_auprc(p, y, n_classes))

@@ -15,14 +15,14 @@ including the normalization Jacobians.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metrics as _metrics
-from .cluster_core import _load_model, _score_by_route, kmeanspp_init, lloyd, nearest_centroids
+from .cluster_core import (_dump_model, _load_model, _score_by_route, kmeanspp_init, lloyd,
+                           nearest_centroids)
 from .dataset import LabeledDataset
 from .errors import (DimensionMismatch, InvalidSpec, NotBinary, OneClassOnly, TrainingDiverged,
                      UntrainedModel)
@@ -251,6 +251,17 @@ class LossParts:
         return self.reconstruction + self.clustering + self.margin_weighted
 
 
+def _reconstruction_step(params: NetParams, x: np.ndarray
+                         ) -> tuple[np.ndarray, float, tuple[list, list], np.ndarray, list]:
+    """Autoencode x and backprop the summed squared reconstruction error through the decoder:
+    (z, the error, the decoder grads, the error's gradient w.r.t. z, the encoder caches)."""
+    z, enc_caches = net_forward(params.encoder, x)
+    x_hat, dec_caches = net_forward(params.decoder, z)
+    resid = x_hat - x
+    dec_grads, dz = net_backward(params.decoder, dec_caches, 2.0 * resid)
+    return z, float((resid * resid).sum()), dec_grads, dz, enc_caches
+
+
 def forward_backward(params: NetParams, head: AmsHead, x: np.ndarray, y: np.ndarray,
                      assignments: np.ndarray, centroids: np.ndarray,
                      alpha: float, beta: float, delta: float) -> tuple[LossParts, dict]:
@@ -268,14 +279,9 @@ def forward_backward(params: NetParams, head: AmsHead, x: np.ndarray, y: np.ndar
     if x.shape[0] != yv.shape[0] or x.shape[0] != assign.shape[0]:
         raise DimensionMismatch("x, y and assignments must agree on the batch size")
 
-    z, enc_caches = net_forward(params.encoder, x)
+    z, recon, dec_grads, dz_recon, enc_caches = _reconstruction_step(params, x)
     if z.shape[1] != cent.shape[1]:
         raise DimensionMismatch(f"latent dim {z.shape[1]} vs centroid dim {cent.shape[1]}")
-    x_hat, dec_caches = net_forward(params.decoder, z)
-
-    resid = x_hat - x
-    recon = float((resid * resid).sum())
-    dec_grads, dz_recon = net_backward(params.decoder, dec_caches, 2.0 * resid)
 
     counts = np.bincount(assign, minlength=cent.shape[0])
     n_pt = counts[assign].astype(np.float64)
@@ -332,13 +338,9 @@ def pretrain(ds: LabeledDataset, params: NetParams, epochs: int, lr: float,
         for epoch in range(1, epochs + 1):
             epoch_loss = 0.0
             for idx in _batches(ds.n_samples, batch_size, rng):
-                xb = x[idx]
-                z, enc_caches = net_forward(params.encoder, xb)
-                x_hat, dec_caches = net_forward(params.decoder, z)
-                resid = x_hat - xb
-                epoch_loss += float((resid * resid).sum())
+                _, recon, dec_grads, dz, enc_caches = _reconstruction_step(params, x[idx])
+                epoch_loss += recon
                 scale = 1.0 / idx.size
-                dec_grads, dz = net_backward(params.decoder, dec_caches, 2.0 * resid)
                 enc_grads, _ = net_backward(params.encoder, enc_caches, dz)
                 _sgd_step(params.decoder, dec_grads, lr * scale)
                 _sgd_step(params.encoder, enc_grads, lr * scale)
@@ -451,18 +453,18 @@ def _class_cosine(z: np.ndarray, y: np.ndarray) -> float | None:
     return float(mu_pos @ mu_neg / denom)
 
 
-def _train_local_nets(encoder: DenseNet, centroids: np.ndarray, ds_train: LabeledDataset,
-                      ds_val: LabeledDataset, n_classes: int, rng: np.random.Generator,
-                      hidden: int, epochs: int, lr: float, batch_size: int,
-                      patience: int) -> tuple[list[DenseNet], np.ndarray, list[float]]:
-    """Train per-cluster softmax nets on frozen embeddings.
+def _train_local_nets(encoder: DenseNet, centroids: np.ndarray, z_train: np.ndarray,
+                      y_train: np.ndarray, ds_val: LabeledDataset, n_classes: int,
+                      rng: np.random.Generator, hidden: int, epochs: int, lr: float,
+                      batch_size: int, patience: int
+                      ) -> tuple[list[DenseNet], np.ndarray, list[float]]:
+    """Train per-cluster softmax nets on the frozen encoder's training embedding `z_train`.
 
     Empty clusters are pruned first and their would-be members rerouted.
     Training stops early once the validation AUPRC has not improved for
     `patience` consecutive epochs; the best snapshot is returned together
     with the pruned centroids and the validation trace.
     """
-    z_train = net_forward(encoder, ds_train.features)[0]
     # an empty cluster won no row, not even a tie, so dropping it reroutes nothing
     keep, routes = np.unique(nearest_centroids(z_train, centroids), return_inverse=True)
     centroids = centroids[keep]
@@ -487,7 +489,7 @@ def _train_local_nets(encoder: DenseNet, centroids: np.ndarray, ds_train: Labele
     for _ in range(epochs):
         for j, net in enumerate(nets):
             rows = cluster_rows[j]
-            yj = ds_train.labels[rows]
+            yj = y_train[rows]
             zj = z_train[rows]
             for idx in _batches(rows.size, batch_size, rng):
                 logits, caches = net_forward(net, zj[idx])
@@ -582,7 +584,7 @@ def deepcac_fit(ds_train: LabeledDataset, ds_val: LabeledDataset, k: int,
 
     rng3 = np.random.default_rng(int(sub[4]))
     nets, centroids, val_trace = _train_local_nets(
-        params.encoder, state.centroids, ds_train, ds_val, ds_train.n_classes,
+        params.encoder, state.centroids, z_all, ds_train.labels, ds_val, ds_train.n_classes,
         rng3, local_hidden, local_epochs, local_lr, batch_size, patience)
     history["val_auprc"] = val_trace
     history["clusters_kept"] = centroids.shape[0]
@@ -636,9 +638,7 @@ def _net_from_dict(d: dict) -> DenseNet:
 
 
 def deepcac_model_to_json(model: DeepCacModel) -> str:
-    payload = {
-        "schema": 1,
-        "kind": "deepcac",
+    return _dump_model("deepcac", {
         "alpha": model.alpha,
         "beta": model.beta,
         "delta": model.delta,
@@ -649,8 +649,7 @@ def deepcac_model_to_json(model: DeepCacModel) -> str:
         "head": {"weight": model.head.weight.tolist(), "scale": model.head.scale,
                  "margin": model.head.margin},
         "history": model.history,
-    }
-    return json.dumps(payload, indent=2)
+    })
 
 
 def deepcac_model_from_json(text: str) -> DeepCacModel:

@@ -4,6 +4,7 @@ Everything goes through cackit.cli.main(argv) in-process with tiny synthetic
 datasets so the whole file stays fast.
 """
 
+import copy
 import csv
 import functools
 import json
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from cackit import experiments
 from cackit.cli import main
-from cackit.config import DEFAULTS, validate_config
+from cackit.config import DEFAULTS, MAX_ARRAY_ELEMENTS, set_path, validate_config
 from cackit.errors import ConfigInvalid, SchemaMismatch
 from cackit.experiments import compare_reports
 
@@ -313,6 +314,43 @@ class TestConfigValidation:
             validate_config(yaml.safe_load(cfg.read_text()))
         assert err.value.field == field
 
+    # values this large are rejected at the gate, before anything allocates; a fit at
+    # sizes between about 2**25 and 2**40 entries would really allocate them
+    @pytest.mark.parametrize("field,value", [
+        ("dataset.synthetic.n_samples", 10**30), ("dataset.synthetic.n_features", 2**63),
+        ("model.deepcac.hidden", 2**63), ("model.deepcac.latent", 2**63),
+        ("model.deepcac.local_hidden", 2**63)])
+    def test_oversized_array_is_exit_code_two_naming_the_field(self, tmp_path, capsys,
+                                                               field, value):
+        cfg = write_config(tmp_path / "c.yaml")
+        out = tmp_path / "out"
+        assert main(["fit-deepcac", "--config", str(cfg), "--out", str(out),
+                     "--set", f"{field}={value}"]) == 2
+        assert not out.exists()
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sizes,field", [
+        ({"dataset.synthetic.n_samples": MAX_ARRAY_ELEMENTS // 8,
+          "dataset.synthetic.n_features": 8}, None),
+        ({"dataset.synthetic.n_samples": MAX_ARRAY_ELEMENTS + 1,
+          "dataset.synthetic.n_features": 1}, "dataset.synthetic"),
+        ({"model.deepcac.hidden": MAX_ARRAY_ELEMENTS // 32, "model.deepcac.latent": 32}, None),
+        ({"model.deepcac.hidden": 3, "model.deepcac.latent": (MAX_ARRAY_ELEMENTS + 1) // 3},
+         "model.deepcac.latent"),
+    ], ids=["data-at-cap", "data-above-cap", "weights-at-cap", "weights-above-cap"])
+    def test_array_size_cap_is_inclusive(self, sizes, field):
+        raw = copy.deepcopy(DEFAULTS)
+        for key, value in sizes.items():
+            set_path(raw, key, value)
+        rows, cols = sizes.values()
+        assert rows * cols == MAX_ARRAY_ELEMENTS + (field is not None)
+        if field is None:
+            assert validate_config(raw) == raw
+        else:
+            with pytest.raises(ConfigInvalid) as err:
+                validate_config(raw)
+            assert err.value.field == field
+
     def test_bad_override_value_is_exit_code_two(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml")
         assert main(["fit-cac", "--config", str(cfg), "--out", str(tmp_path / "out"),
@@ -418,6 +456,23 @@ class TestFitAndBaselines:
         report = json.loads((out / "runs" / "default" / "0" / "report.json").read_text())
         assert report["method"] == "kmz"
         assert report["config"]["model"]["deepcac"]["hidden"] == 8
+
+    @pytest.mark.parametrize("command,overrides,model_keys", [
+        ("fit-cac", {}, ["schema", "kind", "alpha", "centroids", "classifiers", "trace"]),
+        ("fit-deepcac", {"model.deepcac": {"pretrain_epochs": 2, "epochs": 2, "local_epochs": 2,
+                                           "hidden": 8, "latent": 4}},
+         ["schema", "kind", "alpha", "beta", "delta", "n_classes", "encoder", "centroids",
+          "local_nets", "head", "history"]),
+    ], ids=["cac", "deepcac"])
+    def test_artifact_key_order(self, tmp_path, command, overrides, model_keys):
+        # a reordering would change the bytes of every saved model and report
+        cfg = write_config(tmp_path / "c.yaml", **overrides)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert list(json.loads((out / "models" / "model_s0.json").read_text())) == model_keys
+        report = json.loads((out / "runs" / "default" / "0" / "report.json").read_text())
+        assert list(report["metrics"]) == ["auc", "auprc", "f1", "n_test", "support",
+                                           "confusion", "silhouette"]
 
 
 class TestCompare:

@@ -531,7 +531,7 @@ class TestDeepCacFit:
         padded = np.vstack([far, live[:3], -far, live[3:]])
 
         def train_nets(centroids):
-            return _train_local_nets(params.encoder, centroids, train, val, 2,
+            return _train_local_nets(params.encoder, centroids, z, train.labels, val, 2,
                                      np.random.default_rng(0), 4, 5, 0.05, 32, 3)
 
         nets, kept, trace = train_nets(padded)
