@@ -7,7 +7,8 @@ and moved to whichever cluster lowers the total score the most; moves that
 would empty a cluster or strip it of one class are never considered.
 Clusters holding a single class score a separation term of zero until they
 gain the missing class. One signed closed form scores a block of
-consecutive points against all k clusters at once.
+consecutive points against all k clusters at once, or a single point when
+the points before it have just moved.
 """
 
 from __future__ import annotations
@@ -97,52 +98,115 @@ def _separations(state: ClusterState) -> np.ndarray:
     return np.where(state.class_counts.all(axis=0), np.einsum("kd,kd->k", gap, gap), 0.0)
 
 
-def _guard(counts: np.ndarray, y, p):
-    """`can_remove` for label(s) y leaving cluster(s) p, given class counts (2, k)."""
-    return (counts[y, p] >= 2) & (counts[1 - y, p] >= 1)
+def _guards(counts: np.ndarray) -> np.ndarray:
+    """`can_remove` for a point of each label c leaving each cluster j, as a
+    (2, k) table [c, j], given class counts (2, k)."""
+    return (counts >= 2) & (counts[::-1] >= 1)
 
 
-def _score_block(state: ClusterState, ds: LabeledDataset, rows: slice, sep: np.ndarray) -> np.ndarray:
-    """Change in every cluster's score, (rows, k), if each point of `rows` left
-    its own cluster p or joined any other, as one signed closed form in O(k*d).
+class _Descent:
+    """The descent's working view of one `ClusterState`, updated in place.
 
-    With s = -1 at p and +1 elsewhere, a cluster of n members and centroid
-    mu changes its SSE by s*n/(n+s)*||x - mu||^2, and the point's class
-    centroid becomes (c*own + s*x)/(c + s). Denominators are clamped at 1:
-    the entry at p is only meaningful when `can_remove` holds, and an empty
-    cluster scores 0.
+    It holds float mirrors of the member and class counts (exact below
+    2**53, so every product gives the bits the int counts would), each
+    cluster's separation term and the `_guards` table. All of them are
+    refreshed after every move, and the state's own int counts are kept in
+    step for `on_move`.
+
+    Both scorers give the change in every cluster's score, (rows, k), if
+    the point left its own cluster p or joined any other, as one signed
+    closed form in O(k*d). With s = -1 at p and +1 elsewhere, a cluster of
+    n members and centroid mu changes its SSE by s*n/(n+s)*||x - mu||^2,
+    and the point's class centroid becomes (c*own + s*x)/(c + s).
+    Denominators are clamped at 1: the entry at p is only meaningful when
+    `can_remove` holds, and an empty cluster scores 0. Moving to q then
+    changes the total by the merge at q plus the removal at p. Both run
+    the same elementwise operations in the same order, so a row scores the
+    same bits alone or in a block.
     """
-    x, y, n = ds.features[rows][:, None, :], ds.labels[rows], state.sizes
-    s = np.ones((x.shape[0], state.k))
-    s[np.arange(x.shape[0]), state.assignments[rows]] = -1.0
-    grown = n + s
-    diff = state.centroids - x
-    delta_sse = s * n / np.maximum(grown, 1.0) * np.einsum("bkd,bkd->bk", diff, diff)
 
-    own_count, other_count = state.class_counts[y], state.class_counts[1 - y]
-    own_new = ((own_count[..., None] * state.class_centroids[y] + s[..., None] * x)
-               / np.maximum(own_count + s, 1.0)[..., None])
-    gap_new = own_new - state.class_centroids[1 - y]
-    sep_new = np.where(other_count > 0, np.einsum("bkd,bkd->bk", gap_new, gap_new), 0.0)
-    return delta_sse + state.alpha * (n * sep - grown * sep_new)
+    def __init__(self, state: ClusterState, ds: LabeledDataset, max_block: int):
+        self.state, self.x, self.y = state, ds.features, ds.labels
+        self.other = 1 - ds.labels
+        self.sign = 1.0 - 2.0 * np.eye(state.k)  # row p: s for a point of cluster p
+        self.sizes = state.sizes.astype(np.float64)
+        self.counts = state.class_counts.astype(np.float64)
+        self.at = np.arange(max_block)
+        self._refresh()
+
+    def _refresh(self) -> None:
+        self.sep = _separations(self.state)
+        self.guard = _guards(self.counts)
+
+    def best_moves(self, start: int, stop: int) -> tuple:
+        """For each point of rows start..stop: whether it passes the class
+        guard, its best target cluster and that move's total change."""
+        st = self.state
+        x, y, p = self.x[start:stop, None, :], self.y[start:stop], st.assignments[start:stop]
+        other, n, s = self.other[start:stop], self.sizes, self.sign[p]
+        grown = n + s
+        diff = st.centroids - x
+        delta_sse = s * n / np.maximum(grown, 1.0) * np.einsum("bkd,bkd->bk", diff, diff)
+
+        own_count = self.counts[y]
+        own_new = ((own_count[..., None] * st.class_centroids[y] + s[..., None] * x)
+                   / np.maximum(own_count + s, 1.0)[..., None])
+        gap_new = own_new - st.class_centroids[other]
+        sep_new = np.where(self.counts[other] > 0, np.einsum("bkd,bkd->bk", gap_new, gap_new), 0.0)
+        deltas = delta_sse + st.alpha * (n * self.sep - grown * sep_new)
+        at = self.at[:stop - start]
+        deltas += deltas[at, p][:, None]
+        deltas[at, p] = np.inf
+        q = deltas.argmin(axis=1)
+        return self.guard[y, p], q, deltas[at, q]
+
+    def best_move(self, i: int, p: int, y: int) -> tuple[int, float]:
+        """`best_moves` of the one point i, of cluster p and label y, which
+        must pass the class guard; basic indexing only, so every operand
+        is a view."""
+        st = self.state
+        x, s, n, own_count = self.x[i], self.sign[p], self.sizes, self.counts[y]
+        grown = n + s
+        diff = st.centroids - x
+        delta_sse = s * n / np.maximum(grown, 1.0) * np.einsum("kd,kd->k", diff, diff)
+
+        own_new = ((own_count[:, None] * st.class_centroids[y] + s[:, None] * x)
+                   / np.maximum(own_count + s, 1.0)[:, None])
+        gap_new = own_new - st.class_centroids[1 - y]
+        sep_new = np.where(self.counts[1 - y] > 0, np.einsum("kd,kd->k", gap_new, gap_new), 0.0)
+        deltas = delta_sse + st.alpha * (n * self.sep - grown * sep_new)
+        deltas += deltas[p]
+        deltas[p] = np.inf
+        q = int(deltas.argmin())
+        return q, deltas[q]
+
+    def move(self, i: int, p: int, q: int, y: int) -> None:
+        """`apply_move` without its checks, which the descent has just made."""
+        st = self.state
+        _shift(((self.sizes, st.centroids), (self.counts[y], st.class_centroids[y])), self.x[i], p, q)
+        st.sizes[p] -= 1
+        st.sizes[q] += 1
+        st.class_counts[y, p] -= 1
+        st.class_counts[y, q] += 1
+        st.assignments[i] = q
+        self._refresh()
 
 
-def _best_moves(state: ClusterState, ds: LabeledDataset, rows: slice, sep: np.ndarray) -> tuple:
-    """For each point of `rows` against the current state: whether it passes
-    the class guard, its best target cluster and that move's total change."""
-    deltas = _score_block(state, ds, rows, sep)
-    at = np.arange(deltas.shape[0])
-    p = state.assignments[rows]
-    # moving to q changes the total by the merge at q plus the removal at p
-    deltas += deltas[at, p][:, None]
-    deltas[at, p] = np.inf
-    q = deltas.argmin(axis=1)
-    return _guard(state.class_counts, ds.labels[rows], p), q, deltas[at, q]
+def _shift(tables, x: np.ndarray, p: int, q: int) -> None:
+    """Move the point x from member p to member q of each (counts, means)
+    pair of `tables`: each side's mean becomes (c*mean + s*x)/(c + s), with
+    s = -1 at p and +1 at q, and its count c + s. Int and float counts give
+    the same bits."""
+    for j, s in ((p, -1), (q, 1)):
+        for counts, means in tables:
+            c = counts[j]
+            means[j] = (c * means[j] + s * x) / (c + s)
+            counts[j] = c + s
 
 
 def can_remove(state: ClusterState, ds: LabeledDataset, p: int, i: int) -> bool:
     """True when removing point i leaves cluster p non-empty with both classes."""
-    return bool(_guard(state.class_counts, ds.labels[i], p))
+    return bool(_guards(state.class_counts)[ds.labels[i], p])
 
 
 def apply_move(state: ClusterState, ds: LabeledDataset, i: int, p: int, q: int) -> ClusterState:
@@ -153,13 +217,9 @@ def apply_move(state: ClusterState, ds: LabeledDataset, i: int, p: int, q: int) 
         raise IllegalMove("source and target cluster coincide")
     if not can_remove(state, ds, p, i):
         raise IllegalMove(f"removing point {i} would break cluster {p}'s class guard")
-    x, y = ds.features[i], ds.labels[i]
-    for j, s in ((p, -1), (q, 1)):
-        for counts, cents in ((state.sizes, state.centroids),
-                              (state.class_counts[y], state.class_centroids[y])):
-            c = float(counts[j])
-            cents[j] = (c * cents[j] + s * x) / (c + s)
-            counts[j] += s
+    y = ds.labels[i]
+    _shift(((state.sizes, state.centroids), (state.class_counts[y], state.class_centroids[y])),
+           ds.features[i], p, q)
     state.assignments[i] = q
     return state
 
@@ -173,7 +233,8 @@ class CacRun:
     against all k clusters (one removal plus k - 1 merges), d entries each,
     so k * d per such point and per time it is scored. The descent scores
     blocks of consecutive points, and the points after a move in its block
-    are scored again from the moved state, so they count once more.
+    are scored again from the moved state, so they count once more. Inside
+    a run of consecutive moves each point is scored alone, once.
     """
 
     state: ClusterState
@@ -223,26 +284,40 @@ def cac_fit(ds: LabeledDataset, k: int, alpha: float, max_rounds: int = DEFAULT_
     ops_per_round: list[int] = []
     rounds = 0
     max_block = max(1, BLOCK_ELEMENTS // (k * d))
+    walk = _Descent(state, ds, max_block)
+    labels = y.tolist()
     for _ in range(max_rounds):
         ops = moves = 0
-        sep = _separations(state)
-        i, block = 0, min(4, max_block)
+        i, block, single = 0, min(4, max_block), False
         while i < n:
-            rows = slice(i, min(i + block, n))
-            guarded, targets, best = _best_moves(state, ds, rows, sep)
-            ops += int(guarded.sum()) * k * d
-            # every row before the first improving guarded one is a non-move
-            hit = np.flatnonzero(guarded & (best < -MOVE_TOL))
-            if hit.size == 0:
-                i, block = rows.stop, min(2 * block, max_block)
-                continue
-            h = int(hit[0])
-            i, p, q = i + h, int(state.assignments[i + h]), int(targets[h])
-            apply_move(state, ds, i, p, q)
-            sep = _separations(state)
+            if single:
+                # the last evaluation moved its first row: in a run of moves,
+                # score the next row alone, leaving no block rows to rescore
+                p = int(state.assignments[i])
+                found = walk.guard[labels[i], p]
+                if found:
+                    ops += k * d
+                    q, best = walk.best_move(i, p, labels[i])
+                    found = best < -MOVE_TOL
+                if not found:
+                    i, single = i + 1, False
+                    continue
+            else:
+                stop = min(i + block, n)
+                guarded, targets, best = walk.best_moves(i, stop)
+                ops += int(np.count_nonzero(guarded)) * k * d
+                # every row before the first improving guarded one is a non-move
+                hit = np.flatnonzero(guarded & (best < -MOVE_TOL))
+                if hit.size == 0:
+                    i, block = stop, min(2 * block, max_block)
+                    continue
+                h = int(hit[0])
+                i, q, best, single = i + h, int(targets[h]), best[h], h == 0
+                p = int(state.assignments[i])
+            walk.move(i, p, q, labels[i])
             moves += 1
             if on_move is not None:
-                on_move(state, i, p, q, float(best[h]))
+                on_move(state, i, p, q, float(best))
             i, block = i + 1, min(4, max_block)
         rounds += 1
         moves_per_round.append(moves)

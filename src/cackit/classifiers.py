@@ -106,6 +106,60 @@ def _check_binary(y: np.ndarray) -> None:
         raise NotBinary("labels must be 0/1")
 
 
+def _train_logreg_lockstep(xa: np.ndarray, y: np.ndarray, ends: list[int],
+                           spec: ClassifierSpec) -> list[TrainedClassifier]:
+    """`train_logreg` of several clusters at once, bit for bit: cluster j is
+    rows ends[j]..ends[j+1] of the augmented matrix `xa`, with 0/1 labels `y`.
+
+    Each cluster runs its own backtracking descent, with its own step size,
+    epoch count and stop after 60 halvings, and every unfinished cluster
+    tries one candidate step per pass. Only the products whose bits depend
+    on a cluster's shape run per cluster, on its own rows: x.beta (into its
+    slice of one shared t), the loss sum, the penalty dot and x.T @ r.
+    Every elementwise step runs once over all rows or over the (m, d+1)
+    weight table, and an elementwise ufunc gives each entry the same bits
+    at any array length. The gradient is computed only for accepted steps.
+    """
+    m, l2 = len(ends) - 1, spec.l2_penalty
+    rows = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+    xs = [xa[r] for r in rows]
+    beta, cand, grad, new_grad = (np.zeros((m, xa.shape[1])) for _ in range(4))
+    step = np.full((m, 1), spec.learning_rate)
+    t = np.zeros(xa.shape[0])
+    loss, epochs, halvings = [math.inf] * m, [-1] * m, [0] * m
+    live = list(range(m))  # the zero start is every cluster's first accepted step
+    while live:
+        for j in live:
+            np.matmul(xs[j], cand[j], out=t[rows[j]])
+        e = np.exp(-np.abs(t))
+        terms = _softplus(t, e) - y * t
+        took = np.zeros(m, dtype=bool)
+        still = []
+        for j in live:
+            new_loss = float(terms[rows[j]].sum()) + 0.5 * l2 * float(cand[j, :-1] @ cand[j, :-1])
+            if new_loss <= loss[j]:
+                loss[j], epochs[j], halvings[j], took[j] = new_loss, epochs[j] + 1, 0, True
+                if epochs[j] < spec.epochs:
+                    still.append(j)
+            else:
+                step[j] *= 0.5
+                halvings[j] += 1
+                if halvings[j] < 60:
+                    still.append(j)
+        if took.any():
+            resid = _sigmoid(t, e) - y
+            for j in np.flatnonzero(took):
+                np.matmul(xs[j].T, resid[rows[j]], out=new_grad[j])
+            mask = took[:, None]
+            np.add(new_grad[:, :-1], l2 * cand[:, :-1], out=new_grad[:, :-1], where=mask)
+            np.copyto(grad, new_grad, where=mask)
+            np.copyto(beta, cand, where=mask)
+        live = still
+        np.subtract(beta, np.multiply(grad, step, out=cand), out=cand)
+    return [TrainedClassifier(kind="logreg", weights=beta[j].copy(), training_log=loss[j])
+            for j in range(m)]
+
+
 def train_logreg(x: np.ndarray, y: np.ndarray, spec: ClassifierSpec) -> TrainedClassifier:
     """Full-batch gradient descent from zero weights with backtracking steps.
 
@@ -114,23 +168,7 @@ def train_logreg(x: np.ndarray, y: np.ndarray, spec: ClassifierSpec) -> TrainedC
     """
     _check_binary(y)
     xa = _augment(np.asarray(x, dtype=np.float64))
-    yv = np.asarray(y, dtype=np.float64)
-    beta = np.zeros(xa.shape[1])
-    lr = spec.learning_rate
-    loss, grad = logreg_loss_grad(xa, yv, beta, spec.l2_penalty)
-    for _ in range(spec.epochs):
-        stepped = False
-        for _ in range(60):
-            candidate = beta - lr * grad
-            new_loss, new_grad = logreg_loss_grad(xa, yv, candidate, spec.l2_penalty)
-            if new_loss <= loss:
-                beta, loss, grad = candidate, new_loss, new_grad
-                stepped = True
-                break
-            lr *= 0.5
-        if not stepped:
-            break
-    return TrainedClassifier(kind="logreg", weights=beta, training_log=loss)
+    return _train_logreg_lockstep(xa, np.asarray(y, dtype=np.float64), [0, xa.shape[0]], spec)[0]
 
 
 def train_ridge(x: np.ndarray, y: np.ndarray, spec: ClassifierSpec) -> TrainedClassifier:
@@ -290,7 +328,7 @@ def train_per_cluster(state, ds: LabeledDataset, spec: ClassifierSpec) -> list[T
     error (the fit never produces them).
     """
     assign = np.asarray(state.assignments)
-    out = []
+    out, logreg = [], []
     for j in range(len(state.sizes)):
         rows = assign == j
         if not rows.any():
@@ -298,8 +336,21 @@ def train_per_cluster(state, ds: LabeledDataset, spec: ClassifierSpec) -> list[T
         yj = ds.labels[rows]
         if (yj == yj[0]).all():
             out.append(constant_classifier(int(yj[0])))
+        elif spec.kind == "logreg":
+            _check_binary(yj)
+            logreg.append(j)
+            out.append(None)  # trained below, all logreg clusters in one lockstep run
         else:
             out.append(train_classifier(ds.features[rows], yj, spec))
+    if logreg:
+        # every logreg cluster's rows, stacked in cluster order, each in index order
+        order = np.argsort(assign, kind="stable")
+        order = order[np.isin(assign[order], logreg)]
+        ends = np.concatenate([[0], np.cumsum(np.bincount(assign)[logreg])]).tolist()
+        trained = _train_logreg_lockstep(_augment(ds.features[order]),
+                                         ds.labels[order].astype(np.float64), ends, spec)
+        for j, clf in zip(logreg, trained):
+            out[j] = clf
     return out
 
 

@@ -12,10 +12,13 @@ from .errors import DimensionMismatch, InfeasibleInit, OneCluster, SchemaMismatc
 
 LLOYD_MAX_ITER = 300
 LLOYD_TOL = 1e-6
-# largest block nearest_centroids (rows, k, d differences), silhouette (rows, n
-# distances) or kNN scoring (rows, n_train, d differences) builds at once: 8 MB
-# of float64
-ROUTE_BLOCK_ELEMENTS = 1 << 20
+# largest block nearest_centroids (rows, k, d differences) or kNN scoring (rows,
+# n_train, d differences) builds at once: 0.5 MB of float64. Each row's distances
+# are summed on their own, so the block size cannot change a route or a vote.
+ROUTE_BLOCK_ELEMENTS = 1 << 16
+# largest (rows, n) distance block silhouette builds at once: 8 MB of float64.
+# Its expanded-form distances round differently at other block shapes.
+SILHOUETTE_BLOCK_ELEMENTS = 1 << 20
 # the "schema" field of every saved model file
 MODEL_SCHEMA = 1
 
@@ -197,7 +200,7 @@ def silhouette(features: np.ndarray, assignments: np.ndarray) -> float:
     if present.size < 2:
         raise OneCluster("silhouette needs at least two non-empty clusters")
     members = [assign == j for j in present]
-    step = max(1, ROUTE_BLOCK_ELEMENTS // n)
+    step = max(1, SILHOUETTE_BLOCK_ELEMENTS // n)
     # mean distance from every point to every cluster, one block of rows at a time
     cluster_mean = np.empty((n, present.size))
     for start in range(0, n, step):

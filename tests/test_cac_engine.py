@@ -18,6 +18,7 @@ from cackit.cac_engine import (
     MOVE_TOL,
     CacModel,
     ClusterState,
+    _Descent,
     apply_move,
     cac_fit,
     cac_model_from_json,
@@ -442,6 +443,22 @@ def reference_descent(ds, k, alpha, init, max_rounds):
     return state.assignments, moves_per_round, trace, applied
 
 
+def screening_case(n, d, k_pick, pos_frac, duplicates, seed):
+    """A small dataset, k and a shuffled start, with every cluster non-empty."""
+    rng = np.random.default_rng(seed)
+    k = 1 + int(k_pick * (n - 1))
+    if duplicates:
+        # few distinct rows: exact ties between candidate clusters
+        feats = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+    else:
+        feats = rng.normal(size=(n, d)) + 3.0 * rng.integers(0, 3, size=(n, 1))
+    labels = (rng.random(n) < pos_frac).astype(np.int64)
+    labels[rng.choice(n, 2, replace=False)] = [0, 1]
+    init = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+    rng.shuffle(init)
+    return LabeledDataset.from_arrays(feats, labels), k, init
+
+
 class TestBlockScreening:
     # every explicit example has an odd n, never a multiple of a block size
     @settings(max_examples=40, deadline=None)
@@ -453,21 +470,14 @@ class TestBlockScreening:
     @example(n=89, d=4, k_pick=0.1, alpha=3.0, pos_frac=0.03, duplicates=False, seed=3)
     @example(n=77, d=2, k_pick=0.06, alpha=0.0, pos_frac=0.5, duplicates=True, seed=4)
     @example(n=83, d=3, k_pick=0.05, alpha=3.0, pos_frac=0.15, duplicates=True, seed=5)
+    # long runs of consecutive moves, scored one row at a time: k=16, 10 and 15,
+    # the last with runs that end at rows the class guard holds in place
+    @example(n=89, d=4, k_pick=0.171, alpha=3.0, pos_frac=0.5, duplicates=False, seed=2)
+    @example(n=91, d=3, k_pick=0.1, alpha=0.0, pos_frac=0.5, duplicates=False, seed=2)
+    @example(n=85, d=5, k_pick=0.171, alpha=3.0, pos_frac=0.15, duplicates=False, seed=1)
     def test_fit_equals_the_one_point_reference(self, n, d, k_pick, alpha, pos_frac,
                                                 duplicates, seed):
-        rng = np.random.default_rng(seed)
-        k = 1 + int(k_pick * (n - 1))
-        if duplicates:
-            # few distinct rows: exact ties between candidate clusters
-            feats = rng.integers(0, 3, size=(n, d)).astype(np.float64)
-        else:
-            feats = rng.normal(size=(n, d)) + 3.0 * rng.integers(0, 3, size=(n, 1))
-        labels = (rng.random(n) < pos_frac).astype(np.int64)
-        labels[rng.choice(n, 2, replace=False)] = [0, 1]
-        init = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
-        rng.shuffle(init)
-        ds = LabeledDataset.from_arrays(feats, labels)
-
+        ds, k, init = screening_case(n, d, k_pick, pos_frac, duplicates, seed)
         applied = []
         run = cac_fit(ds, k, alpha, max_rounds=8, init_assignments=init,
                       on_move=lambda state, i, p, q, delta: applied.append((i, p, q, delta)))
@@ -476,6 +486,39 @@ class TestBlockScreening:
         assert run.moves_per_round == moves
         np.testing.assert_array_equal(run.state.assignments, assign)
         assert run.cost_trace == trace
+
+    def test_runs_of_moves_switch_between_one_row_and_block_scoring(self, monkeypatch):
+        # the k=15 example above: the one-row scorer finds moves and quiet
+        # rows, a run ends at a row the class guard holds in place, and
+        # blocks take over after a run
+        events = []
+        alone, block, move = _Descent.best_move, _Descent.best_moves, _Descent.move
+
+        def log_alone(self, i, p, y):
+            q, best = alone(self, i, p, y)
+            events.append(("moved" if best < -MOVE_TOL else "quiet", i))
+            return q, best
+
+        def log_block(self, start, stop):
+            events.append(("block", start))
+            return block(self, start, stop)
+
+        def log_move(self, i, p, q, y):
+            events.append(("move", i))
+            move(self, i, p, q, y)
+
+        monkeypatch.setattr(_Descent, "best_move", log_alone)
+        monkeypatch.setattr(_Descent, "best_moves", log_block)
+        monkeypatch.setattr(_Descent, "move", log_move)
+        ds, k, init = screening_case(85, 5, 0.171, 0.15, False, 1)
+        run = cac_fit(ds, k, 3.0, max_rounds=8, init_assignments=init)
+        assert run.moves_per_round == reference_descent(ds, k, 3.0, init, 8)[1]
+        kinds = [kind for kind, _ in events]
+        assert kinds.count("moved") > 10 and kinds.count("quiet") > 0
+        assert ("quiet", "block") in zip(kinds, kinds[1:])
+        # a move scored alone at row i, then a block from i + 2: row i + 1 was guarded out
+        assert any(a == ("moved", b[1]) and b[0] == "move" and c == ("block", b[1] + 2)
+                   for a, b, c in zip(events, events[1:], events[2:]))
 
     @pytest.mark.parametrize("from_fixed_point", [False, True])
     def test_fit_memory_stays_bounded(self, from_fixed_point):

@@ -17,6 +17,7 @@ from cackit.classifiers import (
     ClassifierSpec,
     _sigmoid,
     _softplus,
+    _train_logreg_lockstep,
     classifier_from_dict,
     classifier_to_dict,
     constant_classifier,
@@ -42,6 +43,7 @@ from cackit.experiments import prepare_data, run_baseline
 from cackit.metrics import auc, evaluate_binary
 
 from conftest import central_difference, rel_err
+from oracles import reference_train_logreg
 
 
 def _augmented(x):
@@ -273,6 +275,48 @@ class TestPerceptron:
         assert clf.training_log == 0.0
         probs = predict_proba_batch(clf, feats)
         assert (((probs >= 0.5).astype(int)) == labels).all()
+
+
+class TestLockstepLogreg:
+    """All clusters' logreg descents run in one loop, and each must give the
+    bits of the one-cluster reference loop in `tests/oracles.py`."""
+
+    @pytest.mark.parametrize("d", [1, 3, 10, 64])
+    @pytest.mark.parametrize("learning_rate", [0.1, 50.0, 1e30])
+    def test_matches_the_one_cluster_reference(self, d, learning_rate):
+        # clusters of 1 to 40 rows fall on both sides of every SIMD width; at
+        # learning_rate 50 steps backtrack, so with few epochs the clusters
+        # stop at different passes; at 1e30 no step is ever accepted
+        rng = np.random.default_rng(d)
+        sizes = rng.permutation(np.arange(1, 41))
+        clusters = [(rng.normal(size=(m, d)) * rng.uniform(0.1, 5.0), rng.integers(0, 2, size=m))
+                    for m in sizes]
+        spec = ClassifierSpec(kind="logreg", learning_rate=learning_rate, epochs=6)
+        got = _train_logreg_lockstep(_augmented(np.vstack([x for x, _ in clusters])),
+                                     np.concatenate([y for _, y in clusters]).astype(np.float64),
+                                     np.concatenate([[0], np.cumsum(sizes)]).tolist(), spec)
+        for (x, y), clf in zip(clusters, got):
+            want = reference_train_logreg(x, y, spec)
+            np.testing.assert_array_equal(clf.weights, want.weights)
+            assert clf.training_log == want.training_log
+        if learning_rate == 1e30:
+            assert not any(clf.weights.any() for clf in got)
+
+    def test_train_per_cluster_matches_the_reference_cluster_by_cluster(self):
+        ds = make_classification(SyntheticSpec(n_samples=600, n_features=5, n_clusters=3,
+                                               ics=1.0, ocs=2.0, seed=3))
+
+        class S:  # interleaved clusters of unequal sizes
+            assignments = np.random.default_rng(3).integers(0, 7, size=600)
+            sizes = np.bincount(assignments, minlength=7)
+
+        spec = ClassifierSpec(kind="logreg", learning_rate=5.0, epochs=40)
+        local = train_per_cluster(S(), ds, spec)
+        for j, clf in enumerate(local):
+            rows = S.assignments == j
+            want = reference_train_logreg(ds.features[rows], ds.labels[rows], spec)
+            np.testing.assert_array_equal(clf.weights, want.weights)
+            assert clf.training_log == want.training_log
 
 
 class TestTrainPerCluster:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cackit import cluster_core
+from cackit.classifiers import ClassifierSpec, predict_proba_batch, train_classifier
 from cackit.cluster_core import kmeanspp_init, lloyd, nearest_centroids, silhouette
 from cackit.errors import DimensionMismatch, InfeasibleInit, OneCluster
 
@@ -120,6 +121,22 @@ class TestNearestIndex:
         assert want[step - 1] == want[step] == 3
         np.testing.assert_array_equal(got, want)
 
+    def test_routes_and_knn_votes_do_not_depend_on_the_block_budget(self, monkeypatch):
+        # each row's distances are summed on their own, so any chunking gives
+        # the same routes and the same kNN scores
+        rng = np.random.default_rng(15)
+        cents = rng.normal(size=(16, 64))
+        x = rng.normal(size=(1800, 64))
+        knn = train_classifier(x[:300], (x[:300, 0] > 0).astype(np.int64),
+                               ClassifierSpec(kind="knn", k_neighbors=5))
+        got = []
+        for budget in (2**10, 2**16, 2**20):
+            monkeypatch.setattr(cluster_core, "ROUTE_BLOCK_ELEMENTS", budget)
+            got.append((nearest_centroids(x, cents), predict_proba_batch(knn, x[300:600])))
+        for routes, votes in got[1:]:
+            np.testing.assert_array_equal(routes, got[0][0])
+            np.testing.assert_array_equal(votes, got[0][1])
+
     def test_shape_mismatch_rejected(self):
         cents = np.zeros((3, 4))
         for x in (np.zeros(4), np.zeros((2, 5))):
@@ -185,9 +202,9 @@ class TestSilhouette:
         assign = rng.integers(0, 4, size=n)
         assign[[40, 41]] = 1
         assign[0] = 9  # a singleton cluster, which scores 0
-        monkeypatch.setattr(cluster_core, "ROUTE_BLOCK_ELEMENTS", n * n)
+        monkeypatch.setattr(cluster_core, "SILHOUETTE_BLOCK_ELEMENTS", n * n)
         want = silhouette(x, assign)
-        monkeypatch.setattr(cluster_core, "ROUTE_BLOCK_ELEMENTS", rows_per_block * n)
+        monkeypatch.setattr(cluster_core, "SILHOUETTE_BLOCK_ELEMENTS", rows_per_block * n)
         assert silhouette(x, assign) == want
         dist = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
         scores = []
@@ -208,7 +225,7 @@ class TestSilhouette:
         n = 150
         x = rng.normal(size=(n, 5))
         assign = rng.integers(0, 4, size=n)
-        monkeypatch.setattr(cluster_core, "ROUTE_BLOCK_ELEMENTS", n * n)
+        monkeypatch.setattr(cluster_core, "SILHOUETTE_BLOCK_ELEMENTS", n * n)
         want = silhouette(x, assign)
-        monkeypatch.setattr(cluster_core, "ROUTE_BLOCK_ELEMENTS", 7 * n)
+        monkeypatch.setattr(cluster_core, "SILHOUETTE_BLOCK_ELEMENTS", 7 * n)
         assert silhouette(x, assign) == pytest.approx(want, abs=1e-9)
