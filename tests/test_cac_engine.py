@@ -520,6 +520,35 @@ class TestBlockScreening:
         assert any(a == ("moved", b[1]) and b[0] == "move" and c == ("block", b[1] + 2)
                    for a, b, c in zip(events, events[1:], events[2:]))
 
+    @pytest.mark.parametrize("d, seed", [(16, 0), (64, 1)])
+    def test_wide_rows_move_with_the_reference_deltas_on_both_paths(self, monkeypatch, d, seed):
+        # at d >= 8 einsum's sum-of-products kernel runs its unrolled loop; the
+        # moves found by the one-row scorer and by blocks both carry the
+        # reference's deltas bit for bit
+        scored_by = []
+        alone, block = _Descent.best_move, _Descent.best_moves
+
+        def log_alone(self, i, p, y):
+            scored_by.append("one-row")
+            return alone(self, i, p, y)
+
+        def log_block(self, start, stop):
+            scored_by.append("block")
+            return block(self, start, stop)
+
+        monkeypatch.setattr(_Descent, "best_move", log_alone)
+        monkeypatch.setattr(_Descent, "best_moves", log_block)
+        applied, paths = [], []
+
+        def watch(state, i, p, q, delta):
+            applied.append((i, p, q, delta))
+            paths.append(scored_by[-1])
+
+        ds, k, init = screening_case(85, d, 0.171, 0.5, False, seed)
+        cac_fit(ds, k, 3.0, max_rounds=8, init_assignments=init, on_move=watch)
+        assert applied == reference_descent(ds, k, 3.0, init, 8)[3]
+        assert paths.count("one-row") > 30 and paths.count("block") > 30
+
     @pytest.mark.parametrize("from_fixed_point", [False, True])
     def test_fit_memory_stays_bounded(self, from_fixed_point):
         # scoring a block of rows against every cluster must not grow with n;
