@@ -13,9 +13,14 @@ from .errors import DimensionMismatch, InfeasibleInit, OneCluster, SchemaMismatc
 LLOYD_MAX_ITER = 300
 LLOYD_TOL = 1e-6
 # largest block nearest_centroids (rows, k, d differences) or kNN scoring (rows,
-# n_train, d differences) builds at once: 0.5 MB of float64. Each row's distances
-# are summed on their own, so the block size cannot change a route or a vote.
+# n_train, d differences) builds at once: 0.5 MB of float64. It sets the rows per
+# chunk of both routing forms, so it bounds the screen's memory too. Each row's
+# distances are summed on their own, so the block size cannot change a route or a vote.
 ROUTE_BLOCK_ELEMENTS = 1 << 16
+# smallest chunk (rows * k * d) nearest_centroids screens with the expanded form;
+# below it the screen's fixed numpy calls cost more than the difference block
+# they save (break-even measured in CHANGES.md).
+ROUTE_SCREEN_ELEMENTS = 1 << 14
 # largest (rows, n) distance block silhouette builds at once: 8 MB of float64.
 # Its expanded-form distances round differently at other block shapes.
 SILHOUETTE_BLOCK_ELEMENTS = 1 << 20
@@ -45,9 +50,17 @@ def _sq_dists(x: np.ndarray, c: np.ndarray) -> np.ndarray:
 def nearest_centroids(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Index of the closest centroid for each row of x; ties break to the lowest index.
 
-    Distances use the difference form, which stays exact at any feature
-    offset. Rows go in chunks whose (rows, k, d) difference block holds at
-    most ROUTE_BLOCK_ELEMENTS entries, so memory is bounded at any n.
+    Each route is the argmin of the row's difference-form squared distances,
+    sum((x - c) ** 2), which stay exact at any feature offset. Rows go in
+    chunks whose (rows, k, d) difference block holds at most
+    ROUTE_BLOCK_ELEMENTS entries, so memory is bounded at any n.
+
+    When a full chunk holds at least ROUTE_SCREEN_ELEMENTS entries, each chunk
+    is first screened with expanded-form distances from one matrix product. A row
+    is settled there only when a rounding bound on both forms leaves a single
+    centroid that can be nearest. Every other row (exact and near ties, NaN and
+    inf rows, values near overflow, data at large offsets) falls back to the
+    difference form, so the routes are bit for bit the difference form's.
     """
     x = np.asarray(x, dtype=np.float64)
     c = np.asarray(centroids, dtype=np.float64)
@@ -55,10 +68,54 @@ def nearest_centroids(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"points of shape {x.shape} vs centroids of shape {c.shape}")
     step = max(1, ROUTE_BLOCK_ELEMENTS // max(1, c.size))
     routes = np.empty(x.shape[0], dtype=np.int64)
+    screen = min(step, x.shape[0]) * c.size >= ROUTE_SCREEN_ELEMENTS
+    if screen:
+        c_neg2 = c * -2.0
+        c_sq = np.einsum("kd,kd->k", c, c)
     for start in range(0, x.shape[0], step):
-        diff = x[start:start + step, None, :] - c[None, :, :]
-        np.multiply(diff, diff, out=diff)
-        routes[start:start + step] = diff.sum(axis=2).argmin(axis=1)
+        rows = x[start:start + step]
+        routes[start:start + step] = (_screened_routes(rows, c, c_neg2, c_sq) if screen
+                                      else _difference_routes(rows, c))
+    return routes
+
+
+def _difference_routes(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Argmin over centroids of sum((x - c) ** 2), from one (rows, k, d) block."""
+    diff = x[:, None, :] - c[None, :, :]
+    np.multiply(diff, diff, out=diff)
+    return diff.sum(axis=2).argmin(axis=1)
+
+
+def _screened_routes(x: np.ndarray, c: np.ndarray, c_neg2: np.ndarray,
+                     c_sq: np.ndarray) -> np.ndarray:
+    """_difference_routes(x, c), with the rows one centroid provably wins taken
+    from the expanded form |x|^2 - 2 x.c + |c|^2; `c_neg2` is -2c, `c_sq` is |c|^2.
+
+    Both forms are within gamma_{d+2} (|x| + |c|)^2 of the exact squared
+    distance, so they differ by at most 4 gamma_{d+2} (|x|^2 + |c|^2). The
+    slack s = 8(d+4) eps (|x|^2 + max |c|^2) + 8(d+4) 2^-1074 is more than
+    twice that, which also covers underflow and the screen's own rounding.
+    A row whose expanded distances put one centroid alone within 2s of their
+    minimum therefore has that centroid as the strict argmin of its
+    difference form too.
+    """
+    # (k, rows) layout: the reductions over k run across rows, which is faster.
+    # Rows that overflow here fall back, and warn there as they always did.
+    with np.errstate(over="ignore", invalid="ignore"):
+        approx = c_neg2 @ x.T
+        x_sq = np.einsum("nd,nd->n", x, x)
+        approx += x_sq
+        approx += c_sq[:, None]
+        scale = x_sq + c_sq.max()
+        coef = 16.0 * (x.shape[1] + 4)  # limit = min + 2s
+        limit = approx.min(axis=0)
+        limit += coef * np.finfo(np.float64).eps * scale + coef * 2.0**-1074
+        # below 2^1021 no sum in either form overflows; NaN and inf rows fail here
+        settled = ((approx <= limit).sum(axis=0) == 1) & (scale < 2.0**1021)
+    routes = approx.argmin(axis=0)
+    rest = np.flatnonzero(~settled)
+    if rest.size:
+        routes[rest] = _difference_routes(x[rest], c)
     return routes
 
 

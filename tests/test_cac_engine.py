@@ -622,23 +622,27 @@ class TestPrediction:
 
     @pytest.mark.parametrize("kind", ["logreg", "ridge", "perceptron", "knn"])
     def test_score_is_the_same_bits_in_any_batch(self, kind):
-        spec = SyntheticSpec(n_samples=300, n_features=5, n_clusters=4, ics=1.0, ocs=1.5, seed=3)
-        ds = make_classification(spec)
-        run = cac_fit(ds, 4, 0.5, seed=3)
-        local = train_per_cluster(run.state, ds, ClassifierSpec(kind=kind, epochs=50))
-        local[1], local[3] = constant_classifier(0), constant_classifier(1)
-        model = CacModel(run.state.centroids.copy(), local, 0.5, run.cost_trace)
-        x = ds.features
-        labels, scores = cac_predict_batch(model, x)
-        assert set(nearest_centroids(x, model.centroids)) == {0, 1, 2, 3}
-        for step in (1, 7, 64):
-            parts = [cac_predict_batch(model, x[i:i + step]) for i in range(0, len(x), step)]
-            np.testing.assert_array_equal(np.concatenate([s for _, s in parts]), scores)
-            np.testing.assert_array_equal(np.concatenate([lab for lab, _ in parts]), labels)
-        np.testing.assert_array_equal(cac_predict_batch(model, np.asfortranarray(x))[1], scores)
-        singles = [cac_predict(model, row) for row in x]
-        np.testing.assert_array_equal([sc for _, sc in singles], scores)
-        np.testing.assert_array_equal([lab for lab, _ in singles], labels)
+        # at k=16, d=64 the whole matrix and the 64-row chunks are screened by
+        # nearest_centroids, while the 1-row and 7-row chunks are not
+        for n_features, k in ((5, 4), (64, 16)):
+            spec = SyntheticSpec(n_samples=300, n_features=n_features, n_clusters=4, ics=1.0,
+                                 ocs=1.5, seed=3)
+            ds = make_classification(spec)
+            run = cac_fit(ds, k, 0.5, seed=3)
+            local = train_per_cluster(run.state, ds, ClassifierSpec(kind=kind, epochs=50))
+            local[1], local[3] = constant_classifier(0), constant_classifier(1)
+            model = CacModel(run.state.centroids.copy(), local, 0.5, run.cost_trace)
+            x = ds.features
+            labels, scores = cac_predict_batch(model, x)
+            assert set(nearest_centroids(x, model.centroids)) == set(range(k))
+            for step in (1, 7, 64):
+                parts = [cac_predict_batch(model, x[i:i + step]) for i in range(0, len(x), step)]
+                np.testing.assert_array_equal(np.concatenate([s for _, s in parts]), scores)
+                np.testing.assert_array_equal(np.concatenate([lab for lab, _ in parts]), labels)
+            np.testing.assert_array_equal(cac_predict_batch(model, np.asfortranarray(x))[1], scores)
+            singles = [cac_predict(model, row) for row in x]
+            np.testing.assert_array_equal([sc for _, sc in singles], scores)
+            np.testing.assert_array_equal([lab for lab, _ in singles], labels)
 
     @pytest.mark.parametrize("kind", ["logreg", "ridge", "perceptron"])
     def test_linear_classifier_scores_as_the_routed_pass(self, kind, rng):

@@ -2,11 +2,39 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cackit import cluster_core
 from cackit.classifiers import ClassifierSpec, predict_proba_batch, train_classifier
 from cackit.cluster_core import kmeanspp_init, lloyd, nearest_centroids, silhouette
 from cackit.errors import DimensionMismatch, InfeasibleInit, OneCluster
+
+
+def brute_routes(x, cents):
+    """The difference-form argmin nearest_centroids must reproduce bit for bit."""
+    return ((x[:, None, :] - cents[None]) ** 2).sum(axis=2).argmin(axis=1)
+
+
+def routing_case(n, k, d, scale_exp, offset, kind, seed):
+    """Rows and centroids of one kind, scaled by 2**scale_exp, then offset."""
+    rng = np.random.default_rng(seed)
+    if kind == "midpoints":
+        # integer data, half the rows on the exact midpoint of two centroids
+        cents = rng.integers(-3, 4, size=(k, d)).astype(np.float64)
+        x = rng.integers(-3, 4, size=(n, d)).astype(np.float64)
+        x[:n // 2] = (cents[0] + cents[-1]) / 2.0
+    else:
+        cents = rng.normal(size=(k, d))
+        x = rng.normal(size=(n, d)) * rng.uniform(0.1, 3.0)
+    if kind == "duplicates":
+        cents[-1] = cents[0]
+    if kind == "nonfinite":
+        x[rng.integers(n)] = np.nan
+        x[rng.integers(n), rng.integers(d)] = np.inf
+        x[rng.integers(n), rng.integers(d)] = -np.inf
+    shift = rng.uniform(-offset, offset, size=d)
+    return x * 2.0**scale_exp + shift, cents * 2.0**scale_exp + shift
 
 
 def blob_pair(n_per=50, gap=10.0, d=2, seed=0):
@@ -136,6 +164,38 @@ class TestNearestIndex:
         for routes, votes in got[1:]:
             np.testing.assert_array_equal(routes, got[0][0])
             np.testing.assert_array_equal(votes, got[0][1])
+
+    # chunks of n * k * d entries fall on both sides of ROUTE_SCREEN_ELEMENTS
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 299), k=st.integers(1, 19), d=st.integers(1, 69),
+           scale_exp=st.integers(-500, 500), offset=st.sampled_from([0.0, 1e3, 1e9]),
+           kind=st.sampled_from(["normal", "duplicates", "midpoints", "nonfinite"]),
+           seed=st.integers(0, 10**6))
+    @example(n=200, k=1, d=64, scale_exp=0, offset=0.0, kind="normal", seed=1)
+    @example(n=1, k=1, d=1, scale_exp=0, offset=0.0, kind="nonfinite", seed=2)
+    @example(n=250, k=16, d=64, scale_exp=0, offset=1e9, kind="normal", seed=3)
+    @example(n=250, k=16, d=64, scale_exp=0, offset=0.0, kind="duplicates", seed=4)
+    @example(n=251, k=12, d=40, scale_exp=0, offset=0.0, kind="midpoints", seed=5)
+    @example(n=180, k=16, d=64, scale_exp=500, offset=0.0, kind="nonfinite", seed=6)
+    @example(n=180, k=16, d=64, scale_exp=-500, offset=0.0, kind="normal", seed=7)
+    def test_routes_equal_the_difference_form_argmin(self, n, k, d, scale_exp, offset, kind,
+                                                     seed):
+        x, cents = routing_case(n, k, d, scale_exp, offset, kind, seed)
+        np.testing.assert_array_equal(nearest_centroids(x, cents), brute_routes(x, cents))
+
+    def test_screened_routes_equal_unscreened_routes(self, monkeypatch):
+        # a duplicated centroid and rows near a midpoint must fall back
+        rng = np.random.default_rng(16)
+        cents = rng.normal(size=(16, 64))
+        cents[9] = cents[2]
+        x = rng.normal(size=(700, 64))
+        x[:50] = (cents[0] + cents[1]) / 2.0
+        got = []
+        for threshold in (0, cluster_core.ROUTE_BLOCK_ELEMENTS + 1):
+            monkeypatch.setattr(cluster_core, "ROUTE_SCREEN_ELEMENTS", threshold)
+            got.append(nearest_centroids(x, cents))
+        np.testing.assert_array_equal(got[0], got[1])
+        np.testing.assert_array_equal(got[0], brute_routes(x, cents))
 
     def test_shape_mismatch_rejected(self):
         cents = np.zeros((3, 4))
