@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,31 +86,17 @@ def _softplus(t: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.maximum(t, 0.0) + np.log1p(e)
 
 
-def logreg_loss_grad(x_aug: np.ndarray, y: np.ndarray, beta: np.ndarray,
-                     l2: float) -> tuple[float, np.ndarray]:
-    """Summed log-loss with an L2 penalty (bias unpenalized) and its gradient.
-
-    Uses the identity -y*log(p) - (1-y)*log(1-p) = softplus(t) - y*t for
-    t = x.beta, which stays finite for any t.
-    """
-    t = x_aug @ beta
-    e = np.exp(-np.abs(t))
-    loss = float((_softplus(t, e) - y * t).sum())
-    penalty = 0.5 * l2 * float(beta[:-1] @ beta[:-1])
-    grad = x_aug.T @ (_sigmoid(t, e) - y)
-    grad[:-1] += l2 * beta[:-1]
-    return loss + penalty, grad
-
-
 def _check_binary(y: np.ndarray) -> None:
     if y.size == 0 or not np.isin(y, (0, 1)).all():
         raise NotBinary("labels must be 0/1")
 
 
 def _train_logreg_lockstep(xa: np.ndarray, y: np.ndarray, ends: list[int],
-                           spec: ClassifierSpec) -> list[TrainedClassifier]:
+                           spec: ClassifierSpec) -> tuple[list[TrainedClassifier], list[int]]:
     """`train_logreg` of several clusters at once, bit for bit: cluster j is
     rows ends[j]..ends[j+1] of the augmented matrix `xa`, with 0/1 labels `y`.
+    Returns the classifiers and the clusters that accepted no step past the
+    zero start, which keep zero weights and a loss of n*log 2.
 
     Each cluster runs its own backtracking descent, with its own step size,
     epoch count and stop after 60 halvings, and every unfinished cluster
@@ -156,8 +143,8 @@ def _train_logreg_lockstep(xa: np.ndarray, y: np.ndarray, ends: list[int],
             np.copyto(beta, cand, where=mask)
         live = still
         np.subtract(beta, np.multiply(grad, step, out=cand), out=cand)
-    return [TrainedClassifier(kind="logreg", weights=beta[j].copy(), training_log=loss[j])
-            for j in range(m)]
+    return ([TrainedClassifier(kind="logreg", weights=beta[j].copy(), training_log=loss[j])
+             for j in range(m)], [j for j in range(m) if epochs[j] == 0])
 
 
 def train_logreg(x: np.ndarray, y: np.ndarray, spec: ClassifierSpec) -> TrainedClassifier:
@@ -168,7 +155,7 @@ def train_logreg(x: np.ndarray, y: np.ndarray, spec: ClassifierSpec) -> TrainedC
     """
     _check_binary(y)
     xa = _augment(np.asarray(x, dtype=np.float64))
-    return _train_logreg_lockstep(xa, np.asarray(y, dtype=np.float64), [0, xa.shape[0]], spec)[0]
+    return _train_logreg_lockstep(xa, np.asarray(y, dtype=np.float64), [0, xa.shape[0]], spec)[0][0]
 
 
 def train_ridge(x: np.ndarray, y: np.ndarray, spec: ClassifierSpec) -> TrainedClassifier:
@@ -347,10 +334,14 @@ def train_per_cluster(state, ds: LabeledDataset, spec: ClassifierSpec) -> list[T
         order = np.argsort(assign, kind="stable")
         order = order[np.isin(assign[order], logreg)]
         ends = np.concatenate([[0], np.cumsum(np.bincount(assign)[logreg])]).tolist()
-        trained = _train_logreg_lockstep(_augment(ds.features[order]),
-                                         ds.labels[order].astype(np.float64), ends, spec)
+        trained, stalled = _train_logreg_lockstep(_augment(ds.features[order]),
+                                                  ds.labels[order].astype(np.float64), ends, spec)
         for j, clf in zip(logreg, trained):
             out[j] = clf
+        if stalled:
+            warnings.warn(f"logreg clusters {[logreg[i] for i in stalled]} accepted no step "
+                          f"at learning_rate {spec.learning_rate!r}: their weights stay zero, "
+                          "so they score every row 0.5", RuntimeWarning, stacklevel=2)
     return out
 
 

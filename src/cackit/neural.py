@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics as _metrics
-from .cluster_core import (_dump_model, _load_model, _score_by_route, kmeanspp_init, lloyd,
-                           nearest_centroids)
+from .cluster_core import _dump_model, _load_model, kmeanspp_init, lloyd, nearest_centroids
 from .dataset import LabeledDataset
 from .errors import (DimensionMismatch, InvalidSpec, NotBinary, OneClassOnly, TrainingDiverged,
                      UntrainedModel)
@@ -56,43 +55,92 @@ def init_dense(sizes: list[int], rng: np.random.Generator) -> DenseNet:
     return DenseNet(weights, biases)
 
 
-def net_forward(net: DenseNet, x: np.ndarray) -> tuple[np.ndarray, list]:
-    """Forward pass returning the output and per-layer caches for backprop."""
-    h = np.asarray(x, dtype=np.float64)
-    if h.ndim != 2 or h.shape[1] != net.weights[0].shape[0]:
-        raise DimensionMismatch(f"input shape {h.shape} vs layer dim {net.weights[0].shape[0]}")
+def _pack(nets: list[DenseNet], extra: list[np.ndarray] = (), copy: bool = True
+          ) -> tuple[np.ndarray, list[DenseNet], list[np.ndarray]]:
+    """(buffer, nets, extra): each net's weights then biases, then each array of `extra`,
+    as views of one new flat buffer in that order. The views hold the arrays' values
+    when `copy` is set and are left unset otherwise, as for gradients.
+
+    Parameters and their gradients packed alike take an SGD step as one update,
+    `theta -= lr * grad`, with each entry's bits as if stepped array by array.
+    """
+    arrays = [a for net in nets for a in (*net.weights, *net.biases)] + list(extra)
+    buf = (np.concatenate([a.ravel() for a in arrays]) if copy
+           else np.empty(sum(a.size for a in arrays)))
+    views, start = [], 0
+    for a in arrays:
+        views.append(buf[start:start + a.size].reshape(a.shape))
+        start += a.size
+    packed = []
+    for net in nets:
+        n = len(net.weights)
+        packed.append(DenseNet(views[:n], views[n:2 * n]))
+        views = views[2 * n:]
+    return buf, packed, views
+
+
+def _forward_runs(nets: list[DenseNet], h: np.ndarray, runs: list[tuple[int, slice]]
+                  ) -> tuple[np.ndarray, list]:
+    """`net_forward` of nets[j] on the rows h[run] of each (j, run) of `runs`, in one pass.
+
+    The nets share their layer widths, and the runs cover the rows of h. Each
+    layer's matrix product runs per run, into that run's rows of the layer's
+    output, and the run's bias is added there in place, so a run gets the bits
+    that nets[j] gives h[run] on its own: a BLAS product's bits can depend on
+    its row count. ReLU runs once over all rows.
+    """
     caches = []
-    last = len(net.weights) - 1
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        a = h @ w + b
+    last = len(nets[0].weights) - 1
+    for l in range(last + 1):
+        a = np.empty((h.shape[0], nets[0].weights[l].shape[1]))
+        for j, run in runs:
+            np.matmul(h[run], nets[j].weights[l], out=a[run])
+            a[run] += nets[j].biases[l]
         caches.append((h, a))
         h = np.maximum(a, 0.0) if l < last else a
     return h, caches
 
 
-def net_backward(net: DenseNet, caches: list, grad_out: np.ndarray) -> tuple[tuple[list, list], np.ndarray]:
-    """Backprop through the cached forward pass.
+def _backward_runs(nets: list[DenseNet], caches: list, grad: np.ndarray,
+                   runs: list[tuple[int, slice]], grads: list[DenseNet],
+                   input_grad: bool) -> np.ndarray | None:
+    """Backprop `grad`, the gradient w.r.t. the output of `_forward_runs(nets, _, runs)`,
+    into the weight and bias arrays of grads[j] for each run's net j.
 
-    Returns ((weight grads, bias grads), gradient w.r.t. the input).
+    The products and the bias-gradient sums run per run; the ReLU mask once over
+    all rows. Returns the gradient w.r.t. the input, or None without `input_grad`,
+    which skips layer 0's input product.
     """
-    d_weights = [None] * len(net.weights)
-    d_biases = [None] * len(net.biases)
-    grad = grad_out
-    last = len(net.weights) - 1
+    last = len(caches) - 1
     for l in range(last, -1, -1):
         h, a = caches[l]
         da = grad if l == last else grad * (a > 0.0)
-        d_weights[l] = h.T @ da
-        d_biases[l] = da.sum(axis=0)
-        grad = da @ net.weights[l].T
-    return (d_weights, d_biases), grad
+        grad = np.empty(h.shape) if l or input_grad else None
+        for j, run in runs:
+            np.matmul(h[run].T, da[run], out=grads[j].weights[l])
+            da[run].sum(axis=0, out=grads[j].biases[l])
+            if grad is not None:
+                np.matmul(da[run], nets[j].weights[l].T, out=grad[run])
+    return grad
 
 
-def _sgd_step(net: DenseNet, grads: tuple[list, list], lr: float) -> None:
-    for w, dw in zip(net.weights, grads[0]):
-        w -= lr * dw
-    for b, db in zip(net.biases, grads[1]):
-        b -= lr * db
+def net_forward(net: DenseNet, x: np.ndarray) -> tuple[np.ndarray, list]:
+    """Forward pass returning the output and per-layer caches for backprop."""
+    h = np.asarray(x, dtype=np.float64)
+    if h.ndim != 2 or h.shape[1] != net.weights[0].shape[0]:
+        raise DimensionMismatch(f"input shape {h.shape} vs layer dim {net.weights[0].shape[0]}")
+    return _forward_runs([net], h, [(0, slice(None))])
+
+
+def net_backward(net: DenseNet, caches: list, grad_out: np.ndarray) -> tuple[tuple[list, list], np.ndarray]:
+    """Backprop through the cached forward pass.
+
+    Returns ((weight grads, bias grads), gradient w.r.t. the input). The grads
+    are views of one buffer that belongs to this call alone.
+    """
+    _, (grads,), _ = _pack([net], copy=False)
+    grad = _backward_runs([net], caches, grad_out, [(0, slice(None))], [grads], True)
+    return (grads.weights, grads.biases), grad
 
 
 @dataclass
@@ -251,15 +299,16 @@ class LossParts:
         return self.reconstruction + self.clustering + self.margin_weighted
 
 
-def _reconstruction_step(params: NetParams, x: np.ndarray
-                         ) -> tuple[np.ndarray, float, tuple[list, list], np.ndarray, list]:
-    """Autoencode x and backprop the summed squared reconstruction error through the decoder:
-    (z, the error, the decoder grads, the error's gradient w.r.t. z, the encoder caches)."""
+def _reconstruction_step(params: NetParams, x: np.ndarray, dec_grads: DenseNet
+                         ) -> tuple[np.ndarray, float, np.ndarray, list]:
+    """Autoencode x and backprop the summed squared reconstruction error through the
+    decoder into `dec_grads`: (z, the error, its gradient w.r.t. z, the encoder caches)."""
     z, enc_caches = net_forward(params.encoder, x)
     x_hat, dec_caches = net_forward(params.decoder, z)
     resid = x_hat - x
-    dec_grads, dz = net_backward(params.decoder, dec_caches, 2.0 * resid)
-    return z, float((resid * resid).sum()), dec_grads, dz, enc_caches
+    dz = _backward_runs([params.decoder], dec_caches, 2.0 * resid, [(0, slice(None))],
+                        [dec_grads], True)
+    return z, float((resid * resid).sum()), dz, enc_caches
 
 
 def forward_backward(params: NetParams, head: AmsHead, x: np.ndarray, y: np.ndarray,
@@ -270,7 +319,10 @@ def forward_backward(params: NetParams, head: AmsHead, x: np.ndarray, y: np.ndar
     Cluster sizes entering the weights are counted within the batch.
     Centroids are treated as constants. Returns (LossParts, grads) where
     grads holds "encoder"/"decoder" (weight list, bias list) pairs and
-    "head" for the head weight matrix.
+    "head" for the head weight matrix. Every grad is a view of one buffer
+    that belongs to this call alone, laid out as `_pack([encoder, decoder],
+    [head weight])` lays out the parameters, so a step can update them all
+    at once from ``grads["head"].base``.
     """
     x = np.asarray(x, dtype=np.float64)
     yv = np.asarray(y, dtype=np.int64)
@@ -279,7 +331,9 @@ def forward_backward(params: NetParams, head: AmsHead, x: np.ndarray, y: np.ndar
     if x.shape[0] != yv.shape[0] or x.shape[0] != assign.shape[0]:
         raise DimensionMismatch("x, y and assignments must agree on the batch size")
 
-    z, recon, dec_grads, dz_recon, enc_caches = _reconstruction_step(params, x)
+    _, (enc_grads, dec_grads), (head_grad,) = _pack([params.encoder, params.decoder],
+                                                    [head.weight], copy=False)
+    z, recon, dz_recon, enc_caches = _reconstruction_step(params, x, dec_grads)
     if z.shape[1] != cent.shape[1]:
         raise DimensionMismatch(f"latent dim {z.shape[1]} vs centroid dim {cent.shape[1]}")
 
@@ -298,14 +352,17 @@ def forward_backward(params: NetParams, head: AmsHead, x: np.ndarray, y: np.ndar
 
     u = alpha / n_pt
     ce, dz_margin, d_head = ams_forward_backward(head, z, yv, u)
+    head_grad[...] = d_head
     parts = LossParts(
         reconstruction=recon,
         clustering=clustering,
         margin_raw=float(ce.sum()),
         margin_weighted=float((u * ce).sum()),
     )
-    enc_grads, _ = net_backward(params.encoder, enc_caches, dz_recon + dz_cluster + dz_margin)
-    return parts, {"encoder": enc_grads, "decoder": dec_grads, "head": d_head}
+    _backward_runs([params.encoder], enc_caches, dz_recon + dz_cluster + dz_margin,
+                   [(0, slice(None))], [enc_grads], False)
+    return parts, {"encoder": (enc_grads.weights, enc_grads.biases),
+                   "decoder": (dec_grads.weights, dec_grads.biases), "head": head_grad}
 
 
 # --- training stages ------------------------------------------------------
@@ -330,7 +387,9 @@ def pretrain(ds: LabeledDataset, params: NetParams, epochs: int, lr: float,
     per-point reconstruction loss per epoch; raises TrainingDiverged at
     the first epoch whose loss is non-finite.
     """
-    params = params.copy()
+    theta, nets, _ = _pack([params.encoder, params.decoder])
+    params = NetParams(*nets)
+    grad, (enc_grads, dec_grads), _ = _pack(nets, copy=False)
     rng = np.random.default_rng(seed)
     x = ds.features
     history = []
@@ -338,12 +397,11 @@ def pretrain(ds: LabeledDataset, params: NetParams, epochs: int, lr: float,
         for epoch in range(1, epochs + 1):
             epoch_loss = 0.0
             for idx in _batches(ds.n_samples, batch_size, rng):
-                _, recon, dec_grads, dz, enc_caches = _reconstruction_step(params, x[idx])
+                _, recon, dz, enc_caches = _reconstruction_step(params, x[idx], dec_grads)
                 epoch_loss += recon
-                scale = 1.0 / idx.size
-                enc_grads, _ = net_backward(params.encoder, enc_caches, dz)
-                _sgd_step(params.decoder, dec_grads, lr * scale)
-                _sgd_step(params.encoder, enc_grads, lr * scale)
+                _backward_runs([params.encoder], enc_caches, dz, [(0, slice(None))],
+                               [enc_grads], False)
+                theta -= (lr * (1.0 / idx.size)) * grad
             if not math.isfinite(epoch_loss):
                 raise TrainingDiverged("pretrain", epoch)
             history.append(epoch_loss / ds.n_samples)
@@ -431,15 +489,41 @@ class DeepCacModel:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = logits - logits.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
-def _local_proba(local_nets: list[DenseNet], z: np.ndarray, routes: np.ndarray,
-                 n_classes: int) -> np.ndarray:
-    return _score_by_route(z, routes, lambda j, zj: _softmax(net_forward(local_nets[j], zj)[0]),
-                           np.empty((z.shape[0], n_classes)))
+def _route_runs(routes: np.ndarray, k: int) -> list[tuple[int, slice]]:
+    """(j, run) for each cluster j < k that has rows, `run` slicing its rows once the
+    rows are sorted by route with a stable sort, which keeps each cluster's rows in
+    their order as one contiguous run."""
+    runs, start = [], 0
+    for j, n in enumerate(np.bincount(routes, minlength=k).tolist()):
+        if n:
+            runs.append((j, slice(start, start + n)))
+            start += n
+    return runs
+
+
+def _routed_proba(nets: list[DenseNet], z_sorted: np.ndarray, order: np.ndarray,
+                  runs: list[tuple[int, slice]]) -> np.ndarray:
+    """Class probabilities of the rows `z_sorted`, sorted by `order` into `runs`, each
+    row under its run's net, returned in the rows' order before the sort."""
+    probs = _softmax(_forward_runs(nets, z_sorted, runs)[0])
+    out = np.empty_like(probs)
+    out[order] = probs
+    return out
+
+
+def _local_proba(local_nets: list[DenseNet], z: np.ndarray, routes: np.ndarray) -> np.ndarray:
+    """Each row's class probabilities under the local net of its route, every net in one pass."""
+    runs = _route_runs(routes, len(local_nets))
+    if len(runs) == 1:  # one cluster: the rows are already in sorted order
+        return _softmax(_forward_runs(local_nets, z, runs)[0])
+    order = np.argsort(routes, kind="stable")
+    return _routed_proba(local_nets, z[order], order, runs)
 
 
 def _class_cosine(z: np.ndarray, y: np.ndarray) -> float | None:
@@ -468,16 +552,47 @@ def _train_local_nets(encoder: DenseNet, centroids: np.ndarray, z_train: np.ndar
     # an empty cluster won no row, not even a tie, so dropping it reroutes nothing
     keep, routes = np.unique(nearest_centroids(z_train, centroids), return_inverse=True)
     centroids = centroids[keep]
+    k, latent = centroids.shape
+    nets = [init_dense([latent, hidden, n_classes], rng) for _ in range(k)]
 
-    latent = centroids.shape[1]
-    nets = [init_dense([latent, hidden, n_classes], rng) for _ in range(centroids.shape[0])]
-    cluster_rows = [np.flatnonzero(routes == j) for j in range(centroids.shape[0])]
+    # All nets train in lockstep, bit for bit as one at a time: each epoch permutes
+    # every cluster's rows in cluster order, and then step b trains every net that
+    # has a b-th batch, on the rows of those batches laid out cluster by cluster.
+    order, runs = np.argsort(routes, kind="stable"), _route_runs(routes, k)
+    sizes = [run.stop - run.start for _, run in runs]
+    n_batches = [-(-n // batch_size) for n in sizes]
+    # parameters and gradients packed with the nets of most batches first, so the
+    # nets that step at any b are a prefix of each buffer, updated as one
+    first = sorted(range(k), key=lambda j: -n_batches[j])
+    theta, packed, _ = _pack([nets[j] for j in first])
+    grad, packed_grads, _ = _pack(packed, copy=False)
+    grads = [None] * k
+    for p, j in enumerate(first):
+        nets[j], grads[j] = packed[p], packed_grads[p]
+    steps, start = [], 0
+    for b in range(max(n_batches)):
+        live = [(j, min(batch_size, n - b * batch_size)) for j, n in enumerate(sizes)
+                if n > b * batch_size]
+        step_runs, rows = [], 0
+        for j, m in live:
+            step_runs.append((j, slice(rows, rows + m)))
+            rows += m
+        # each row's gradient is scaled by 1/(its net's batch size)
+        scale = np.repeat([float(m) for _, m in live], [m for _, m in live])[:, None]
+        steps.append((slice(start, start + rows), step_runs, scale, np.arange(rows),
+                      theta.size // k * len(live)))
+        start += rows
+    # moves a permuted cluster-major order of the rows to the steps' batch-major one
+    layout = np.argsort(np.concatenate([np.arange(n) // batch_size for n in sizes]), kind="stable")
+    z_sorted, y_sorted = z_train[order], y_train[order]
 
     z_val = net_forward(encoder, ds_val.features)[0]
     val_routes = nearest_centroids(z_val, centroids)
+    val_order, val_runs = np.argsort(val_routes, kind="stable"), _route_runs(val_routes, k)
+    z_val_sorted = z_val[val_order]
 
     def val_score() -> float:
-        probs = _local_proba(nets, z_val, val_routes, n_classes)
+        probs = _routed_proba(nets, z_val_sorted, val_order, val_runs)
         if n_classes == 2:
             return _metrics.auprc(probs[:, 1], ds_val.labels)
         return _metrics.macro_auprc(probs, ds_val.labels, n_classes)
@@ -487,16 +602,16 @@ def _train_local_nets(encoder: DenseNet, centroids: np.ndarray, z_train: np.ndar
     stale = 0
     trace = []
     for _ in range(epochs):
-        for j, net in enumerate(nets):
-            rows = cluster_rows[j]
-            yj = y_train[rows]
-            zj = z_train[rows]
-            for idx in _batches(rows.size, batch_size, rng):
-                logits, caches = net_forward(net, zj[idx])
-                probs = _softmax(logits)
-                probs[np.arange(idx.size), yj[idx]] -= 1.0
-                grads, _ = net_backward(net, caches, probs / idx.size)
-                _sgd_step(net, grads, lr)
+        pos = np.concatenate([run.start + rng.permutation(n)
+                              for (_, run), n in zip(runs, sizes)])[layout]
+        z_epoch, y_epoch = z_sorted[pos], y_sorted[pos]
+        for rows, step_runs, scale, row_ids, end in steps:
+            logits, caches = _forward_runs(nets, z_epoch[rows], step_runs)
+            probs = _softmax(logits)
+            probs[row_ids, y_epoch[rows]] -= 1.0
+            probs /= scale
+            _backward_runs(nets, caches, probs, step_runs, grads, False)
+            theta[:end] -= lr * grad[:end]
         score = val_score()
         trace.append(score)
         if score > best_score + 1e-12:
@@ -552,6 +667,10 @@ def deepcac_fit(ds_train: LabeledDataset, ds_val: LabeledDataset, k: int,
     state = init_latent_clusters(params, ds_train, k, seed=int(sub[2]))
     head = init_head(ds_train.n_classes, latent, seed=int(sub[0]), scale=scale, margin=margin)
 
+    # the parameters laid out as forward_backward lays out its grads
+    theta, (encoder, decoder), (head_weight,) = _pack([params.encoder, params.decoder],
+                                                      [head.weight])
+    params, head.weight = NetParams(encoder, decoder), head_weight
     rng = np.random.default_rng(int(sub[3]))
     x = ds_train.features
     stage2_loss = []
@@ -559,15 +678,13 @@ def deepcac_fit(ds_train: LabeledDataset, ds_val: LabeledDataset, k: int,
         for epoch in range(1, epochs + 1):
             epoch_total = 0.0
             for idx in _batches(ds_train.n_samples, batch_size, rng):
-                parts, grads = forward_backward(params, head, x[idx], ds_train.labels[idx],
+                xb = x[idx]
+                parts, grads = forward_backward(params, head, xb, ds_train.labels[idx],
                                                 state.assignments[idx], state.centroids,
                                                 alpha, beta, delta)
                 epoch_total += parts.total
-                step = lr / idx.size
-                _sgd_step(params.encoder, grads["encoder"], step)
-                _sgd_step(params.decoder, grads["decoder"], step)
-                head.weight -= step * grads["head"]
-                zb = encode(params, x[idx])
+                theta -= (lr / idx.size) * grads["head"].base
+                zb = encode(params, xb)
                 update_assignments(state, zb, idx)
                 update_centroids_online(state, zb, idx)
             if not math.isfinite(epoch_total):
@@ -611,7 +728,7 @@ def deepcac_predict_batch(model: DeepCacModel, features: np.ndarray) -> tuple[np
     x = np.asarray(features, dtype=np.float64)
     z = net_forward(model.encoder, x)[0]
     routes = nearest_centroids(z, model.centroids)
-    probs = _local_proba(model.local_nets, z, routes, model.n_classes)
+    probs = _local_proba(model.local_nets, z, routes)
     if model.n_classes == 2:
         labels = (probs[:, 1] >= _metrics.DECISION_THRESHOLD).astype(np.int64)
     else:

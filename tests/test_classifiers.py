@@ -22,7 +22,6 @@ from cackit.classifiers import (
     classifier_to_dict,
     constant_classifier,
     logloss_bounds,
-    logreg_loss_grad,
     predict_proba_batch,
     train_classifier,
     train_logreg,
@@ -43,7 +42,7 @@ from cackit.experiments import prepare_data, run_baseline
 from cackit.metrics import auc, evaluate_binary
 
 from conftest import central_difference, rel_err
-from oracles import reference_train_logreg
+from oracles import logreg_loss_grad, reference_train_logreg
 
 
 def _augmented(x):
@@ -292,15 +291,19 @@ class TestLockstepLogreg:
         clusters = [(rng.normal(size=(m, d)) * rng.uniform(0.1, 5.0), rng.integers(0, 2, size=m))
                     for m in sizes]
         spec = ClassifierSpec(kind="logreg", learning_rate=learning_rate, epochs=6)
-        got = _train_logreg_lockstep(_augmented(np.vstack([x for x, _ in clusters])),
-                                     np.concatenate([y for _, y in clusters]).astype(np.float64),
-                                     np.concatenate([[0], np.cumsum(sizes)]).tolist(), spec)
+        got, stalled = _train_logreg_lockstep(
+            _augmented(np.vstack([x for x, _ in clusters])),
+            np.concatenate([y for _, y in clusters]).astype(np.float64),
+            np.concatenate([[0], np.cumsum(sizes)]).tolist(), spec)
         for (x, y), clf in zip(clusters, got):
             want = reference_train_logreg(x, y, spec)
             np.testing.assert_array_equal(clf.weights, want.weights)
             assert clf.training_log == want.training_log
         if learning_rate == 1e30:
             assert not any(clf.weights.any() for clf in got)
+            assert stalled == list(range(len(sizes)))
+        elif learning_rate == 0.1:
+            assert stalled == []
 
     def test_train_per_cluster_matches_the_reference_cluster_by_cluster(self):
         ds = make_classification(SyntheticSpec(n_samples=600, n_features=5, n_clusters=3,
@@ -365,6 +368,25 @@ class TestTrainPerCluster:
         for j, rows in ((0, slice(0, 20)), (1, slice(20, 40))):
             probs = predict_proba_batch(local[j], feats[rows])
             assert (((probs >= 0.5).astype(int)) == labels[rows]).all()
+
+    def test_stalled_logreg_clusters_are_named_in_one_warning(self, rng):
+        labels = np.array([0, 1] * 5 + [1] * 5 + [0, 1, 1] * 5)
+        ds = LabeledDataset.from_arrays(rng.normal(size=(30, 3)), labels)
+
+        class S:  # cluster 1 holds one class only, so it is constant and never stalls
+            assignments = np.array([0] * 10 + [1] * 5 + [2] * 15)
+            sizes = np.array([10, 5, 15])
+
+        stalled = ClassifierSpec(kind="logreg", learning_rate=1e30, epochs=5)
+        with pytest.warns(RuntimeWarning, match=r"logreg clusters \[0, 2\] accepted no step") as seen:
+            local = train_per_cluster(S(), ds, stalled)
+        assert len(seen) == 1
+        assert [clf.kind for clf in local] == ["logreg", "constant", "logreg"]
+        for j in (0, 2):
+            assert not local[j].weights.any()
+            assert local[j].training_log == pytest.approx(S.sizes[j] * math.log(2.0), rel=1e-12)
+        # a cluster that steps at all is not named
+        train_per_cluster(S(), ds, ClassifierSpec(kind="logreg", epochs=5))
 
     def test_empty_cluster_rejected(self, rng):
         feats, labels = binary_blobs(rng, n=10)

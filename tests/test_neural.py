@@ -27,6 +27,8 @@ from cackit.errors import (
 )
 from cackit.neural import (
     AmsHead,
+    _local_proba,
+    _train_local_nets,
     DeepCacModel,
     LatentClusterState,
     ams_bounds,
@@ -37,6 +39,7 @@ from cackit.neural import (
     deepcac_predict,
     deepcac_predict_batch,
     encode,
+    init_dense,
     forward_backward,
     init_head,
     init_latent_clusters,
@@ -49,6 +52,7 @@ from cackit.neural import (
 )
 
 from conftest import central_difference, rel_err
+from oracles import reference_local_proba, reference_train_local_nets
 
 
 def _unit_rows(rng, n, d):
@@ -195,6 +199,16 @@ class TestForwardBackward:
             fd = central_difference(total, theta0, h=1e-6)
             assert rel_err(_grad_vector(grads), fd) < 1e-4
             checked += 1
+
+    def test_two_calls_return_independent_grads(self):
+        params, head, x, y, assign, cent = self.setup_case(5)
+        _, first = forward_backward(params, head, x, y, assign, cent, 2.0, 3.0, 1.0)
+        kept = _grad_vector(first)
+        _, second = forward_backward(params, head, x[::-1].copy(), y[::-1].copy(), assign,
+                                     cent, 2.0, 3.0, 1.0)
+        assert _grad_vector(first).tobytes() == kept.tobytes()
+        assert not np.shares_memory(first["head"], second["head"])
+        assert not (_grad_vector(second) == kept).all()
 
     def test_shape_mismatches_rejected(self):
         params, head, x, y, assign, cent = self.setup_case(4)
@@ -521,7 +535,6 @@ class TestDeepCacFit:
         assert model.k == model.history["clusters_kept"]
 
     def test_pruning_empty_clusters_reroutes_no_row(self):
-        from cackit.neural import _train_local_nets
         ds = make_classification(SyntheticSpec(400, 4, 2, 1.0, 2.0, seed=3))
         train, val, _ = split(ds, SplitSpec(seed=3))
         params = init_params(4, 8, 3, seed=1)
@@ -562,6 +575,89 @@ class TestDeepCacFit:
                         local_epochs=30, epochs=5)
         assert (err.value.stage, err.value.epoch) == (stage, 2)
         assert f"{stage} loss is non-finite at epoch 2" in str(err.value)
+
+
+def _nets_bytes(nets):
+    return [a.tobytes() for net in nets for a in net.weights + net.biases]
+
+
+class TestLockstepLocalNets:
+    """Every local net trains and scores in one routed pass, and must give the bits
+    of the one-cluster-at-a-time reference in `tests/oracles.py`."""
+
+    def setup_case(self, seed, n=400, k=3, d=5, latent=4):
+        ds = make_classification(SyntheticSpec(n, d, 3, 1.0, 2.0, seed=seed, warp="sin"))
+        train, val, _ = split(ds, SplitSpec(seed=seed))
+        params = init_params(d, 8, latent, seed=seed)
+        z = encode(params, train.features)
+        centroids = lloyd(z, kmeanspp_init(z, k, seed)).centroids
+        return params.encoder, centroids, z, train, val
+
+    def run_both(self, encoder, centroids, z, train, val, **kw):
+        args = dict(n_classes=2, hidden=7, epochs=12, lr=0.3, batch_size=32, patience=100)
+        args.update(kw)
+        got = _train_local_nets(encoder, centroids, z, train.labels, val,
+                                rng=np.random.default_rng(5), **args)
+        want = reference_train_local_nets(encoder, centroids, z, train.labels, val,
+                                          rng=np.random.default_rng(5), **args)
+        assert _nets_bytes(got[0]) == _nets_bytes(want[0])
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2] == want[2]
+        return got
+
+    def cluster_sizes(self, centroids, z):
+        return np.bincount(nearest_centroids(z, centroids), minlength=centroids.shape[0])
+
+    def test_ragged_last_batches(self):
+        encoder, centroids, z, train, val = self.setup_case(0, k=4)
+        sizes = self.cluster_sizes(centroids, z)
+        assert (sizes % 32 != 0).all() and len(set((sizes + 31) // 32)) > 1
+        self.run_both(encoder, centroids, z, train, val)
+
+    def test_a_cluster_smaller_than_one_batch(self):
+        encoder, centroids, z, train, val = self.setup_case(1)
+        sizes = self.cluster_sizes(centroids, z)
+        batch_size = int(sizes.min()) + 1
+        assert batch_size < sizes.max()
+        self.run_both(encoder, centroids, z, train, val, batch_size=batch_size)
+
+    def test_a_pruned_empty_cluster(self):
+        encoder, centroids, z, train, val = self.setup_case(2)
+        padded = np.vstack([centroids[:1], np.full((1, centroids.shape[1]), 1e3), centroids[1:]])
+        _, kept, _ = self.run_both(encoder, padded, z, train, val)
+        np.testing.assert_array_equal(kept, centroids)
+
+    def test_early_stop(self):
+        encoder, centroids, z, train, val = self.setup_case(3)
+        _, _, trace = self.run_both(encoder, centroids, z, train, val, epochs=60, patience=2,
+                                    lr=0.05)
+        assert len(trace) < 60
+
+    def test_one_cluster_and_three_classes(self):
+        encoder, centroids, z, train, _ = self.setup_case(4, k=1)
+        labels = np.arange(train.n_samples) % 3
+        train3 = LabeledDataset.from_arrays(train.features, labels)
+        val3 = LabeledDataset.from_arrays(train.features[:50], labels[:50])
+        self.run_both(encoder, centroids, z, train3, val3, n_classes=3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(1, 6), n=st.integers(1, 200), one_cluster=st.booleans(),
+           seed=st.integers(0, 10**6))
+    @example(k=3, n=1, one_cluster=False, seed=0)
+    @example(k=4, n=90, one_cluster=True, seed=1)
+    @example(k=5, n=7, one_cluster=False, seed=2)
+    def test_scores_equal_the_per_cluster_reference(self, k, n, one_cluster, seed):
+        rng = np.random.default_rng(seed)
+        sizes = [int(rng.integers(1, 9)), int(rng.integers(1, 33)), int(rng.integers(2, 4))]
+        nets = [init_dense(sizes, rng) for _ in range(k)]
+        for net in nets:  # biases of their own, so that a bias added to the wrong rows shows
+            for b in net.biases:
+                b += rng.normal(size=b.shape)
+        z = 3.0 * rng.normal(size=(n, sizes[0]))
+        routes = (np.full(n, int(rng.integers(0, k))) if one_cluster
+                  else rng.integers(0, k, size=n))  # some clusters absent at small n
+        got = _local_proba(nets, z, routes)
+        assert got.tobytes() == reference_local_proba(nets, z, routes, sizes[-1]).tobytes()
 
 
 class TestPredict:
