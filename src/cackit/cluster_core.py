@@ -12,19 +12,19 @@ from .errors import DimensionMismatch, InfeasibleInit, OneCluster, SchemaMismatc
 
 LLOYD_MAX_ITER = 300
 LLOYD_TOL = 1e-6
-# largest block nearest_centroids (rows, k, d differences) or kNN scoring (rows,
-# n_train, d differences) builds at once: 0.5 MB of float64. It sets the rows per
-# chunk of both routing forms, so it bounds the screen's memory too. Each row's
-# distances are summed on their own, so the block size cannot change a route or a vote.
+# largest block nearest_centroids (rows, k, d differences; the screen's (k, rows)
+# distances) or kNN scoring (rows, n_train, d differences) builds at once: 0.5 MB
+# of float64. Each row's distances are summed on their own, so the block size
+# cannot change a route or a vote.
 ROUTE_BLOCK_ELEMENTS = 1 << 16
 # smallest chunk (rows * k * d) nearest_centroids screens with the expanded form.
 # Below it the screen's fixed numpy calls cost more than the difference block
 # they save: measured, the screen won on every probed shape at 2**14 entries
 # and lost on most at 2**13.
 ROUTE_SCREEN_ELEMENTS = 1 << 14
-# largest (rows, n) distance block silhouette builds at once: 8 MB of float64.
-# Its expanded-form distances round differently at other block shapes.
-SILHOUETTE_BLOCK_ELEMENTS = 1 << 20
+# largest (rows, n) distance block silhouette builds at once: 0.5 MB of float64.
+# On real-valued features its BLAS products round differently at other block shapes.
+SILHOUETTE_BLOCK_ELEMENTS = 1 << 16
 # the "schema" field of every saved model file
 MODEL_SCHEMA = 1
 
@@ -39,15 +39,6 @@ class KmeansResult:
     iterations: int
 
 
-def _sq_dists(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Squared euclidean distances, shape (len(x), len(c)), clipped at 0."""
-    d2 = x @ c.T
-    d2 *= -2.0
-    d2 += (x * x).sum(axis=1)[:, None]
-    d2 += (c * c).sum(axis=1)
-    return np.maximum(d2, 0.0, out=d2)
-
-
 def nearest_centroids(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Index of the closest centroid for each row of x; ties break to the lowest index.
 
@@ -56,27 +47,30 @@ def nearest_centroids(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     chunks whose (rows, k, d) difference block holds at most
     ROUTE_BLOCK_ELEMENTS entries, so memory is bounded at any n.
 
-    When a full chunk holds at least ROUTE_SCREEN_ELEMENTS entries, each chunk
-    is first screened with expanded-form distances from one matrix product. A row
-    is settled there only when a rounding bound on both forms leaves a single
-    centroid that can be nearest. Every other row (exact and near ties, NaN and
-    inf rows, values near overflow, data at large offsets) falls back to the
-    difference form, so the routes are bit for bit the difference form's.
+    When a full difference chunk holds at least ROUTE_SCREEN_ELEMENTS entries,
+    x is first screened with expanded-form distances from one matrix product,
+    in chunks whose (k, rows) arrays hold at most ROUTE_BLOCK_ELEMENTS
+    entries. A row is settled there only when a rounding bound on both forms
+    leaves a single centroid that can be nearest. Every other row (exact and
+    near ties, NaN and inf rows, values near overflow, data at large offsets)
+    falls back to the difference form, so the routes are bit for bit the
+    difference form's.
     """
     x = np.asarray(x, dtype=np.float64)
     c = np.asarray(centroids, dtype=np.float64)
     if x.ndim != 2 or c.ndim != 2 or x.shape[1] != c.shape[1]:
         raise DimensionMismatch(f"points of shape {x.shape} vs centroids of shape {c.shape}")
-    step = max(1, ROUTE_BLOCK_ELEMENTS // max(1, c.size))
     routes = np.empty(x.shape[0], dtype=np.int64)
-    screen = min(step, x.shape[0]) * c.size >= ROUTE_SCREEN_ELEMENTS
-    if screen:
-        c_neg2 = c * -2.0
-        c_sq = np.einsum("kd,kd->k", c, c)
+    step = max(1, ROUTE_BLOCK_ELEMENTS // max(1, c.size))
+    if min(step, x.shape[0]) * c.size < ROUTE_SCREEN_ELEMENTS:
+        for start in range(0, x.shape[0], step):
+            routes[start:start + step] = _difference_routes(x[start:start + step], c)
+        return routes
+    c_neg2 = c * -2.0
+    c_sq = np.einsum("kd,kd->k", c, c)
+    step = max(1, ROUTE_BLOCK_ELEMENTS // c.shape[0])
     for start in range(0, x.shape[0], step):
-        rows = x[start:start + step]
-        routes[start:start + step] = (_screened_routes(rows, c, c_neg2, c_sq) if screen
-                                      else _difference_routes(rows, c))
+        routes[start:start + step] = _screened_routes(x[start:start + step], c, c_neg2, c_sq)
     return routes
 
 
@@ -91,6 +85,8 @@ def _screened_routes(x: np.ndarray, c: np.ndarray, c_neg2: np.ndarray,
                      c_sq: np.ndarray) -> np.ndarray:
     """_difference_routes(x, c), with the rows one centroid provably wins taken
     from the expanded form |x|^2 - 2 x.c + |c|^2; `c_neg2` is -2c, `c_sq` is |c|^2.
+    The other rows take the difference form in chunks of at most
+    ROUTE_BLOCK_ELEMENTS (rows, k, d) entries.
 
     Both forms are within gamma_{d+2} (|x| + |c|)^2 of the exact squared
     distance, so they differ by at most 4 gamma_{d+2} (|x|^2 + |c|^2). The
@@ -115,8 +111,10 @@ def _screened_routes(x: np.ndarray, c: np.ndarray, c_neg2: np.ndarray,
         settled = ((approx <= limit).sum(axis=0) == 1) & (scale < 2.0**1021)
     routes = approx.argmin(axis=0)
     rest = np.flatnonzero(~settled)
-    if rest.size:
-        routes[rest] = _difference_routes(x[rest], c)
+    step = max(1, ROUTE_BLOCK_ELEMENTS // max(1, c.size))
+    for start in range(0, rest.size, step):
+        rows = rest[start:start + step]
+        routes[rows] = _difference_routes(x[rows], c)
     return routes
 
 
@@ -207,10 +205,12 @@ def lloyd(features: np.ndarray, init: np.ndarray, max_iter: int = LLOYD_MAX_ITER
           tol: float = LLOYD_TOL) -> KmeansResult:
     """Batch k-means from the given initial centroids.
 
-    Stops when the assignment no longer changes, when the relative SSE
-    improvement over one iteration falls below `tol`, or at `max_iter`.
-    Empty clusters are repaired each pass by seizing the point farthest
-    from its current centroid. SSE is asserted non-increasing internally.
+    Rows are assigned with nearest_centroids, so the assignments stay exact at
+    any feature offset. Stops when the assignment no longer changes, when the
+    relative SSE improvement over one iteration falls below `tol`, or at
+    `max_iter`. Empty clusters are repaired each pass by seizing the point
+    farthest from its current centroid. SSE is asserted non-increasing
+    internally.
     """
     x = np.asarray(features, dtype=np.float64)
     c = np.array(init, dtype=np.float64, copy=True)
@@ -224,11 +224,10 @@ def lloyd(features: np.ndarray, init: np.ndarray, max_iter: int = LLOYD_MAX_ITER
     sse = np.inf
     updates = 0
     for _ in range(max_iter):
-        d2 = _sq_dists(x, c)
-        assign = d2.argmin(axis=1)
+        assign = nearest_centroids(x, c)
         sizes = np.bincount(assign, minlength=k)
         if (sizes == 0).any():
-            _repair_empty(assign, d2[np.arange(x.shape[0]), assign], sizes)
+            _repair_empty(assign, ((x - c[assign]) ** 2).sum(axis=1), sizes)
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         for j in range(k):
@@ -240,37 +239,60 @@ def lloyd(features: np.ndarray, init: np.ndarray, max_iter: int = LLOYD_MAX_ITER
         sse = new_sse
         prev_assign = assign
         updates += 1
-        if np.isfinite(improvement) and improvement < tol * max(abs(sse), 1e-12):
+        if np.isfinite(improvement) and improvement < tol * sse:
             break
     return KmeansResult(c, prev_assign, sse, updates)
 
 
-def silhouette(features: np.ndarray, assignments: np.ndarray) -> float:
+def silhouette(features: np.ndarray, assignments: np.ndarray) -> float | list[float]:
     """Mean silhouette coefficient over all points.
 
-    Points in singleton clusters contribute 0, as do points whose intra-
-    and inter-cluster mean distances are both zero.
+    `assignments` holds one cluster label per row of `features`, which gives
+    one float, or a stack of such labellings, which gives one score per
+    labelling from one pass over the pairwise distances, each equal bit for
+    bit to scoring that labelling alone. Points in singleton clusters
+    contribute 0, as do points whose intra- and inter-cluster mean distances
+    are both zero.
+
+    Distances come from the expanded form on the features minus their first
+    row, so a common offset cancels exactly, in blocks of at most
+    SILHOUETTE_BLOCK_ELEMENTS entries; a point's distance to itself is
+    exactly 0. Each row's per-cluster sums are reduced on their own, so on
+    integer-valued features every block shape gives the same bits.
     """
     x = np.asarray(features, dtype=np.float64)
-    assign = np.asarray(assignments, dtype=np.int64)
+    labellings = np.asarray(assignments, dtype=np.int64)
     n = x.shape[0]
-    present, own_col, sizes = np.unique(assign, return_inverse=True, return_counts=True)
-    if present.size < 2:
-        raise OneCluster("silhouette needs at least two non-empty clusters")
-    members = [assign == j for j in present]
+    groups = []
+    for assign in np.atleast_2d(labellings):
+        _, own, sizes = np.unique(assign, return_inverse=True, return_counts=True)
+        if sizes.size < 2:
+            raise OneCluster("silhouette needs at least two non-empty clusters")
+        # columns in cluster order, so one reduceat gives a row's sum per cluster
+        order = np.argsort(own, kind="stable")
+        starts = np.cumsum(sizes) - sizes
+        groups.append((own, sizes, order, starts, np.empty((n, sizes.size))))
+    xs = x - x[0]
+    sq = np.einsum("nd,nd->n", xs, xs)
     step = max(1, SILHOUETTE_BLOCK_ELEMENTS // n)
-    # mean distance from every point to every cluster, one block of rows at a time
-    cluster_mean = np.empty((n, present.size))
     for start in range(0, n, step):
-        dist = _sq_dists(x[start:start + step], x)
+        dist = (xs[start:start + step] * -2.0) @ xs.T
+        dist += sq[start:start + step, None]
+        dist += sq
+        np.maximum(dist, 0.0, out=dist)
+        dist.reshape(-1)[start::n + 1] = 0.0  # each row's distance to itself
         np.sqrt(dist, out=dist)
-        for col, rows in enumerate(members):
-            cluster_mean[start:start + step, col] = dist[:, rows].mean(axis=1)
-    m = sizes[own_col]
-    at_own = (np.arange(n), own_col)
-    a = cluster_mean[at_own] * m / np.maximum(m - 1, 1)  # exclude the zero self-distance
-    cluster_mean[at_own] = np.inf
-    b = cluster_mean.min(axis=1)
-    denom = np.maximum(a, b)
-    scores = np.where(m == 1, 0.0, (b - a) / np.where(denom == 0.0, 1.0, denom))
-    return float(scores.mean())
+        for _, _, order, starts, sums in groups:
+            sums[start:start + step] = np.add.reduceat(dist[:, order], starts, axis=1)
+    scores = []
+    for own, sizes, _, _, sums in groups:
+        m = sizes[own]
+        at_own = (np.arange(n), own)
+        a = sums[at_own] / np.maximum(m - 1, 1)  # the zero self-distance is not a neighbour
+        sums /= sizes
+        sums[at_own] = np.inf
+        b = sums.min(axis=1)
+        denom = np.maximum(a, b)
+        score = np.where(m == 1, 0.0, (b - a) / np.where(denom == 0.0, 1.0, denom))
+        scores.append(float(score.mean()))
+    return scores[0] if labellings.ndim == 1 else scores

@@ -90,11 +90,10 @@ def _fit_model(train: LabeledDataset, k: int, alpha: float, spec: classifiers.Cl
     return run, cac_engine.CacModel(run.state.centroids.copy(), local, alpha, run.cost_trace)
 
 
-def _evaluate_cac(run: cac_engine.CacRun, model: cac_engine.CacModel, train: LabeledDataset,
-                  test: LabeledDataset) -> metrics.EvalReport:
-    """Test-set report of a CAC model, with the training clustering's silhouette when k >= 2."""
+def _evaluate_cac(model: cac_engine.CacModel, test: LabeledDataset,
+                  sil: float | None) -> metrics.EvalReport:
+    """Test-set report of a CAC model, with its training clustering's silhouette `sil`."""
     _, scores = cac_engine.cac_predict_batch(model, test.features)
-    sil = silhouette(train.features, run.state.assignments) if model.k >= 2 else None
     return metrics.evaluate_binary(scores, test.labels, silhouette=sil)
 
 
@@ -152,11 +151,13 @@ def run_fit_cac(cfg: dict, run_seed: int) -> tuple[dict, str]:
         diagnostics["alpha_val_auprc"] = val_scores
     else:
         run, model = _fit_model(train, m["k"], float(m["alpha"]), spec, run_seed, m["max_rounds"])
-    report = _evaluate_cac(run, model, train, test)
-
+    sil = None
     if m["k"] >= 2:
-        diagnostics["silhouette_init"] = silhouette(train.features, run.init_assignments)
-        diagnostics["silhouette_final"] = report.silhouette
+        # the k-means start and the final clustering, from one pass over the distances
+        diagnostics["silhouette_init"], sil = silhouette(
+            train.features, [run.init_assignments, run.state.assignments])
+        diagnostics["silhouette_final"] = sil
+    report = _evaluate_cac(model, test, sil)
     diagnostics["cost_trace"] = run.cost_trace
     diagnostics["rounds"] = run.rounds
     diagnostics["moves_per_round"] = run.moves_per_round
@@ -174,7 +175,8 @@ def run_baseline(cfg: dict, run_seed: int) -> tuple[dict, str | None]:
     if kind == "km":
         spec = classifiers.ClassifierSpec(**m["classifier"])
         run, model = _fit_model(train, m["k"], 0.0, spec, run_seed, max_rounds=0)
-        report = _evaluate_cac(run, model, train, test)
+        sil = silhouette(train.features, run.state.assignments) if m["k"] >= 2 else None
+        report = _evaluate_cac(model, test, sil)
         return _report_dict(cfg, run_seed, f"km+{spec.kind}", report, {}), None
     if kind == "bare":
         spec = classifiers.ClassifierSpec(**m["classifier"])

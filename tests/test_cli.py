@@ -474,6 +474,30 @@ class TestFitAndBaselines:
         assert list(report["metrics"]) == ["auc", "auprc", "f1", "n_test", "support",
                                            "confusion", "silhouette"]
 
+    def test_fit_on_offset_features_without_standardizing(self, tmp_path):
+        # at a 1e7 offset the expanded-form distances lose every digit; the fit
+        # routes and scores silhouettes exactly, so the shift changes neither
+        rng = np.random.default_rng(0)
+        x = np.vstack([rng.normal(size=(150, 10)), rng.normal(size=(150, 10)) + 1.5])
+        y = np.repeat([0, 1], 150)
+        y[rng.random(300) < 0.2] ^= 1
+        sils = []
+        for offset in (0.0, 1e7):
+            data = tmp_path / f"offset-{offset:g}.csv"
+            lines = [",".join([f"f{j}" for j in range(10)] + ["y"])]
+            lines += [",".join([*map(repr, (row + offset).tolist()), str(lab)])
+                      for row, lab in zip(x, y)]
+            data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            cfg = write_config(tmp_path / "c.yaml", **{
+                "dataset": {"csv": str(data), "standardize": False}, "seeds": [0, 1]})
+            out = tmp_path / f"out-{offset:g}"
+            assert main(["fit-cac", "--config", str(cfg), "--out", str(out)]) == 0
+            for seed in (0, 1):
+                diag = json.loads((out / "runs" / "default" / str(seed) / "report.json")
+                                  .read_text())["diagnostics"]
+                sils += [diag["silhouette_init"], diag["silhouette_final"]]
+        assert sils[4:] == pytest.approx(sils[:4], rel=1e-6)
+
 
 class TestCompare:
     def run_reports(self, tmp_path):

@@ -1,5 +1,7 @@
 """k-means++ seeding, Lloyd iteration, nearest-centroid routing and the silhouette score."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -42,6 +44,27 @@ def blob_pair(n_per=50, gap=10.0, d=2, seed=0):
     a = rng.normal(size=(n_per, d))
     b = rng.normal(size=(n_per, d)) + gap
     return np.vstack([a, b])
+
+
+def three_blobs(rng, n, d):
+    """n rows around three centres 8 apart on the diagonal, and each row's blob."""
+    blob = np.arange(n) % 3
+    return rng.normal(size=(n, d)) + 8.0 * blob[:, None], blob
+
+
+def difference_form_silhouette(x, assign):
+    """The silhouette from difference-form distances, one point at a time."""
+    dist = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
+    scores = []
+    for i in range(x.shape[0]):
+        own = assign == assign[i]
+        if own.sum() == 1:
+            scores.append(0.0)
+            continue
+        a = dist[i, own].sum() / (own.sum() - 1)
+        b = min(dist[i, assign == j].mean() for j in set(assign.tolist()) - {assign[i]})
+        scores.append((b - a) / max(a, b))
+    return float(np.mean(scores))
 
 
 class TestKmeansppInit:
@@ -115,6 +138,35 @@ class TestLloyd:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             lloyd(np.zeros((5, 3)), np.zeros((2, 4)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(offset=st.floats(-1e8, 1e8), k=st.integers(1, 5), d=st.integers(1, 10),
+           seed=st.integers(0, 10**6))
+    @example(offset=1e6, k=5, d=1, seed=1)
+    @example(offset=1e7, k=4, d=2, seed=0)
+    @example(offset=-1e7, k=4, d=10, seed=2)
+    @example(offset=1e8, k=4, d=1, seed=0)
+    def test_offset_features_end_on_their_own_routes(self, offset, k, d, seed):
+        # the expanded form loses every digit of the distances at these offsets;
+        # routing through nearest_centroids keeps the difference form's
+        rng = np.random.default_rng(seed)
+        x = three_blobs(rng, 200, d)[0] + offset * rng.uniform(0.5, 1.0, size=d)
+        res = lloyd(x, kmeanspp_init(x, k, seed=seed), tol=0.0)
+        np.testing.assert_array_equal(res.assignments, nearest_centroids(x, res.centroids))
+
+    @settings(max_examples=30, deadline=None)
+    @given(e=st.integers(-200, 200), seed=st.integers(0, 10**6))
+    @example(e=-200, seed=0)
+    @example(e=200, seed=0)
+    def test_power_of_two_scaling_keeps_the_assignments(self, e, seed):
+        # scaling by 2**e is exact in every distance, mean and SSE ratio
+        rng = np.random.default_rng(seed)
+        x = three_blobs(rng, 150, 3)[0]
+        init = kmeanspp_init(x, 4, seed=seed)
+        want = lloyd(x, init)
+        got = lloyd(x * 2.0**e, init * 2.0**e)
+        np.testing.assert_array_equal(got.assignments, want.assignments)
+        assert got.iterations == want.iterations
 
 
 class TestNearestIndex:
@@ -266,17 +318,7 @@ class TestSilhouette:
         want = silhouette(x, assign)
         monkeypatch.setattr(cluster_core, "SILHOUETTE_BLOCK_ELEMENTS", rows_per_block * n)
         assert silhouette(x, assign) == want
-        dist = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2))
-        scores = []
-        for i in range(n):
-            own = assign == assign[i]
-            if own.sum() == 1:
-                scores.append(0.0)
-                continue
-            a = dist[i, own].sum() / (own.sum() - 1)
-            b = min(dist[i, assign == j].mean() for j in set(assign.tolist()) - {assign[i]})
-            scores.append((b - a) / max(a, b))
-        assert want == pytest.approx(np.mean(scores), abs=1e-12)
+        assert want == pytest.approx(difference_form_silhouette(x, assign), abs=1e-12)
 
     def test_chunked_rows_on_real_valued_features(self, monkeypatch):
         # on real-valued features block shapes may round Gram entries
@@ -289,3 +331,50 @@ class TestSilhouette:
         want = silhouette(x, assign)
         monkeypatch.setattr(cluster_core, "SILHOUETTE_BLOCK_ELEMENTS", 7 * n)
         assert silhouette(x, assign) == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("rows_per_block", [1, 7, 150])
+    def test_several_assignments_equal_separate_calls(self, monkeypatch, rows_per_block):
+        rng = np.random.default_rng(19)
+        n = 150
+        x = rng.normal(size=(n, 6))
+        stack = rng.integers(0, 4, size=(3, n))
+        stack[1, 0] = 9  # a singleton cluster
+        stack[2] = np.arange(n) % 2
+        monkeypatch.setattr(cluster_core, "SILHOUETTE_BLOCK_ELEMENTS", rows_per_block * n)
+        want = [silhouette(x, assign) for assign in stack]
+        assert silhouette(x, stack) == want
+        assert silhouette(x, list(stack[:2])) == want[:2]
+
+    def test_own_distance_contributes_exactly_zero(self):
+        # the expanded form leaves a row's distance to itself at the square root
+        # of its roundoff, about 1e-8 of the row's norm, and a(i) counted it:
+        # here that moved the score by about 1e-10
+        rng = np.random.default_rng(18)
+        assign = np.repeat(np.arange(3), 20)
+        x = rng.normal(size=(60, 5)) + 3.0 * rng.normal(size=(3, 5))[assign]
+        assert silhouette(x, assign) == pytest.approx(difference_form_silhouette(x, assign),
+                                                      abs=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(offset=st.floats(-1e8, 1e8), d=st.integers(1, 12), seed=st.integers(0, 10**6))
+    @example(offset=1e8, d=10, seed=0)
+    def test_common_offset_cancels(self, offset, d, seed):
+        # at 1e8 the shifted features themselves round at about 1e-8
+        rng = np.random.default_rng(seed)
+        x, blob = three_blobs(rng, 90, d)
+        want = silhouette(x, blob)
+        shifted = x + offset * rng.uniform(0.5, 1.0, size=d)
+        assert silhouette(shifted, blob) == pytest.approx(want, rel=1e-6)
+
+    def test_peak_memory_is_a_few_blocks(self):
+        # n and d of a cac_auto training set; one (rows, n) block is 0.5 MB
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=(2280, 10))
+        assign = rng.integers(0, 4, size=2280)
+        tracemalloc.start()
+        try:
+            silhouette(x, assign)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
