@@ -37,7 +37,9 @@ class ClusterState:
     Member counts and centroids per cluster, and per-class counts (2, k) and
     centroids (2, k, d) indexed by label, so row 1 holds the positives and
     row 0 the negatives. An absent class keeps a zero row and a zero count so
-    incremental updates stay uniform.
+    incremental updates stay uniform. Counts are float64, exact below 2**53,
+    so every product gives the bits int counts would; the descent reads
+    them directly, and reading int counts there instead was measured slower.
     """
 
     assignments: np.ndarray
@@ -52,8 +54,8 @@ class ClusterState:
         """Build all counts and centroids from scratch for a given assignment."""
         assign = np.array(assignments, dtype=np.int64, copy=True)
         x, y = ds.features, ds.labels
-        sizes = np.bincount(assign, minlength=k)
-        class_counts = np.stack([np.bincount(assign[y == c], minlength=k) for c in (0, 1)])
+        sizes = np.bincount(assign, minlength=k).astype(np.float64)
+        class_counts = np.stack([np.bincount(assign[y == c], minlength=k) for c in (0, 1)]).astype(np.float64)
         centroids = np.zeros((k, ds.n_features))
         class_centroids = np.zeros((2, k, ds.n_features))
         for j in range(k):
@@ -69,12 +71,12 @@ class ClusterState:
     def k(self) -> int:
         return self.sizes.shape[0]
 
-    def separation_sq(self, j: int) -> float:
-        """Squared distance between the class centroids; 0 if a class is absent."""
-        if not self.class_counts[:, j].all():
-            return 0.0
-        diff = self.class_centroids[1, j] - self.class_centroids[0, j]
-        return float(diff @ diff)
+
+def _separations(state: ClusterState) -> np.ndarray:
+    """Squared distance between each cluster's class centroids, as one
+    vector; 0 where a class is absent."""
+    gap = state.class_centroids[1] - state.class_centroids[0]
+    return np.where(state.class_counts.all(axis=0), np.einsum("kd,kd->k", gap, gap), 0.0)
 
 
 def cluster_cost(state: ClusterState, ds: LabeledDataset, j: int) -> float:
@@ -84,18 +86,12 @@ def cluster_cost(state: ClusterState, ds: LabeledDataset, j: int) -> float:
     members = state.assignments == j
     diffs = ds.features[members] - state.centroids[j]
     sse = float((diffs * diffs).sum())
-    return sse - state.alpha * float(state.sizes[j]) * state.separation_sq(j)
+    return sse - state.alpha * float(state.sizes[j]) * float(_separations(state)[j])
 
 
 def total_cost(state: ClusterState, ds: LabeledDataset) -> float:
     """Sum of cluster costs over the non-empty clusters."""
     return float(sum(cluster_cost(state, ds, j) for j in range(state.k) if state.sizes[j] > 0))
-
-
-def _separations(state: ClusterState) -> np.ndarray:
-    """`separation_sq` of every cluster, as one vector."""
-    gap = state.class_centroids[1] - state.class_centroids[0]
-    return np.where(state.class_counts.all(axis=0), np.einsum("kd,kd->k", gap, gap), 0.0)
 
 
 def _guards(counts: np.ndarray) -> np.ndarray:
@@ -107,53 +103,52 @@ def _guards(counts: np.ndarray) -> np.ndarray:
 class _Descent:
     """The descent's working view of one `ClusterState`, updated in place.
 
-    It holds float mirrors of the member and class counts (exact below
-    2**53, so every product gives the bits the int counts would), each
-    cluster's separation term and the `_guards` table. All of them are
-    refreshed after every move, and the state's own int counts are kept in
-    step for `on_move`.
+    It caches each cluster's separation term and the `_guards` table, both
+    refreshed after every move.
 
-    Both scorers give the change in every cluster's score, (rows, k), if
-    the point left its own cluster p or joined any other, as one signed
-    closed form in O(k*d). With s = -1 at p and +1 elsewhere, a cluster of
-    n members and centroid mu changes its SSE by s*n/(n+s)*||x - mu||^2,
-    and the point's class centroid becomes (c*own + s*x)/(c + s).
-    Denominators are clamped at 1: the entry at p is only meaningful when
-    `can_remove` holds, and an empty cluster scores 0. Moving to q then
-    changes the total by the merge at q plus the removal at p. Both run
-    the same elementwise operations in the same order, so a row scores the
-    same bits alone or in a block.
+    `_deltas` gives the change in every cluster's score, (..., k), if the
+    point left its own cluster p or joined any other, as one signed closed
+    form in O(k*d). With s = -1 at p and +1 elsewhere, a cluster of n
+    members and centroid mu changes its SSE by s*n/(n+s)*||x - mu||^2, and
+    the point's class centroid becomes (c*own + s*x)/(c + s). Denominators
+    are clamped at 1: the entry at p is only meaningful when `can_remove`
+    holds, and an empty cluster scores 0. Moving to q then changes the total
+    by the merge at q plus the removal at p. Both scorers run it, so a row
+    scores the same bits alone or in a block.
     """
 
     def __init__(self, state: ClusterState, ds: LabeledDataset, max_block: int):
         self.state, self.x, self.y = state, ds.features, ds.labels
         self.other = 1 - ds.labels
         self.sign = 1.0 - 2.0 * np.eye(state.k)  # row p: s for a point of cluster p
-        self.sizes = state.sizes.astype(np.float64)
-        self.counts = state.class_counts.astype(np.float64)
         self.at = np.arange(max_block)
         self._refresh()
 
     def _refresh(self) -> None:
         self.sep = _separations(self.state)
-        self.guard = _guards(self.counts)
+        self.guard = _guards(self.state.class_counts)
+
+    def _deltas(self, x, y, other, p) -> np.ndarray:
+        """The closed form for points x (..., 1, d) or one point (d,), of
+        labels y, other labels `other` and clusters p."""
+        st = self.state
+        n, s = st.sizes, self.sign[p]
+        grown = n + s
+        diff = st.centroids - x
+        delta_sse = s * n / np.maximum(grown, 1.0) * np.einsum("...kd,...kd->...k", diff, diff)
+
+        own_count = st.class_counts[y]
+        own_new = ((own_count[..., None] * st.class_centroids[y] + s[..., None] * x)
+                   / np.maximum(own_count + s, 1.0)[..., None])
+        gap_new = own_new - st.class_centroids[other]
+        sep_new = np.where(st.class_counts[other] > 0, np.einsum("...kd,...kd->...k", gap_new, gap_new), 0.0)
+        return delta_sse + st.alpha * (n * self.sep - grown * sep_new)
 
     def best_moves(self, start: int, stop: int) -> tuple:
         """For each point of rows start..stop: whether it passes the class
         guard, its best target cluster and that move's total change."""
-        st = self.state
-        x, y, p = self.x[start:stop, None, :], self.y[start:stop], st.assignments[start:stop]
-        other, n, s = self.other[start:stop], self.sizes, self.sign[p]
-        grown = n + s
-        diff = st.centroids - x
-        delta_sse = s * n / np.maximum(grown, 1.0) * np.einsum("bkd,bkd->bk", diff, diff)
-
-        own_count = self.counts[y]
-        own_new = ((own_count[..., None] * st.class_centroids[y] + s[..., None] * x)
-                   / np.maximum(own_count + s, 1.0)[..., None])
-        gap_new = own_new - st.class_centroids[other]
-        sep_new = np.where(self.counts[other] > 0, np.einsum("bkd,bkd->bk", gap_new, gap_new), 0.0)
-        deltas = delta_sse + st.alpha * (n * self.sep - grown * sep_new)
+        y, p = self.y[start:stop], self.state.assignments[start:stop]
+        deltas = self._deltas(self.x[start:stop, None, :], y, self.other[start:stop], p)
         at = self.at[:stop - start]
         deltas += deltas[at, p][:, None]
         deltas[at, p] = np.inf
@@ -164,17 +159,7 @@ class _Descent:
         """`best_moves` of the one point i, of cluster p and label y, which
         must pass the class guard; basic indexing only, so every operand
         is a view."""
-        st = self.state
-        x, s, n, own_count = self.x[i], self.sign[p], self.sizes, self.counts[y]
-        grown = n + s
-        diff = st.centroids - x
-        delta_sse = s * n / np.maximum(grown, 1.0) * np.einsum("kd,kd->k", diff, diff)
-
-        own_new = ((own_count[:, None] * st.class_centroids[y] + s[:, None] * x)
-                   / np.maximum(own_count + s, 1.0)[:, None])
-        gap_new = own_new - st.class_centroids[1 - y]
-        sep_new = np.where(self.counts[1 - y] > 0, np.einsum("kd,kd->k", gap_new, gap_new), 0.0)
-        deltas = delta_sse + st.alpha * (n * self.sep - grown * sep_new)
+        deltas = self._deltas(self.x[i], y, 1 - y, p)
         deltas += deltas[p]
         deltas[p] = np.inf
         q = int(deltas.argmin())
@@ -182,26 +167,20 @@ class _Descent:
 
     def move(self, i: int, p: int, q: int, y: int) -> None:
         """`apply_move` without its checks, which the descent has just made."""
-        st = self.state
-        _shift(((self.sizes, st.centroids), (self.counts[y], st.class_centroids[y])), self.x[i], p, q)
-        st.sizes[p] -= 1
-        st.sizes[q] += 1
-        st.class_counts[y, p] -= 1
-        st.class_counts[y, q] += 1
-        st.assignments[i] = q
+        _move(self.state, self.x[i], i, p, q, y)
         self._refresh()
 
 
-def _shift(tables, x: np.ndarray, p: int, q: int) -> None:
-    """Move the point x from member p to member q of each (counts, means)
-    pair of `tables`: each side's mean becomes (c*mean + s*x)/(c + s), with
-    s = -1 at p and +1 at q, and its count c + s. Int and float counts give
-    the same bits."""
+def _move(state: ClusterState, x: np.ndarray, i: int, p: int, q: int, y: int) -> None:
+    """Move point i, of features x and label y, from cluster p to q: on each
+    side the member and class means become (c*mean + s*x)/(c + s), with
+    s = -1 at p and +1 at q, and their counts c + s."""
     for j, s in ((p, -1), (q, 1)):
-        for counts, means in tables:
+        for counts, means in ((state.sizes, state.centroids), (state.class_counts[y], state.class_centroids[y])):
             c = counts[j]
             means[j] = (c * means[j] + s * x) / (c + s)
             counts[j] = c + s
+    state.assignments[i] = q
 
 
 def can_remove(state: ClusterState, ds: LabeledDataset, p: int, i: int) -> bool:
@@ -215,12 +194,11 @@ def apply_move(state: ClusterState, ds: LabeledDataset, i: int, p: int, q: int) 
         raise IllegalMove(f"point {i} is not in cluster {p}")
     if p == q:
         raise IllegalMove("source and target cluster coincide")
+    if not 0 <= q < state.k:
+        raise IllegalMove(f"target cluster {q} outside [0, {state.k})")
     if not can_remove(state, ds, p, i):
         raise IllegalMove(f"removing point {i} would break cluster {p}'s class guard")
-    y = ds.labels[i]
-    _shift(((state.sizes, state.centroids), (state.class_counts[y], state.class_centroids[y])),
-           ds.features[i], p, q)
-    state.assignments[i] = q
+    _move(state, ds.features[i], i, p, q, ds.labels[i])
     return state
 
 

@@ -19,6 +19,7 @@ from cackit.cac_engine import (
     CacModel,
     ClusterState,
     _Descent,
+    _separations,
     apply_move,
     cac_fit,
     cac_model_from_json,
@@ -286,6 +287,57 @@ class TestApplyMove:
             apply_move(state, ds, 0, 0, 0)  # no-op move
         with pytest.raises(IllegalMove):
             apply_move(state, ds, 0, 0, 1)  # would leave cluster 0 one-class
+        # a target outside [0, k), for a point 0 that may leave its cluster
+        ds = LabeledDataset.from_arrays(np.arange(12.0)[:, None], np.tile([1, 0], 6))
+        state = ClusterState.from_assignments(ds, np.repeat([0, 1, 2], 4), 3, 0.5)
+        assert can_remove(state, ds, 0, 0)
+        for q in (-1, 3):
+            with pytest.raises(IllegalMove, match="outside"):
+                apply_move(state, ds, 0, 0, q)
+        np.testing.assert_array_equal(state.sizes, [4, 4, 4])
+        assert state.assignments[0] == 0
+
+    def test_replayed_fit_moves_rebuild_the_live_state_byte_for_byte(self):
+        # the descent and apply_move share one move update: replaying a fit's
+        # moves from its start gives the live state's bytes before the fit's
+        # final rebuild
+        ds = make_classification(SyntheticSpec(n_samples=300, n_features=10, n_clusters=2,
+                                               ics=1.0, ocs=2.0, seed=7))
+        applied, live = [], []
+
+        def watch(state, i, p, q, delta):
+            applied.append((i, p, q))
+            live[:] = [state]
+
+        run = cac_fit(ds, 4, 3.0, seed=7, on_move=watch)
+        assert len(applied) > 100
+        replay = ClusterState.from_assignments(ds, run.init_assignments, 4, 3.0)
+        for i, p, q in applied:
+            apply_move(replay, ds, i, p, q)
+        for field in ("sizes", "class_counts", "centroids", "class_centroids", "assignments"):
+            assert getattr(replay, field).tobytes() == getattr(live[0], field).tobytes(), field
+
+
+class TestSeparation:
+    @pytest.mark.parametrize("d", [2, 10, 64])
+    def test_cluster_cost_reads_the_descents_separation_bits(self, d):
+        # cost_trace and the descent's cached separation terms are one formula:
+        # with the separation term weighted far above the SSE, cluster_cost is
+        # exactly the SSE minus alpha * size * sep[j]
+        rng = np.random.default_rng(d)
+        alpha = 2.0**20 + 1.0
+        for _ in range(20):
+            k = int(rng.integers(2, 9))
+            ds = LabeledDataset.from_arrays(rng.normal(size=(60, d)) * rng.uniform(0.1, 10.0),
+                                            np.tile([0, 1], 30))
+            assign = rng.integers(0, k, size=60)
+            assign[:k] = np.arange(k)
+            state = ClusterState.from_assignments(ds, assign, k, alpha)
+            sse = ClusterState.from_assignments(ds, assign, k, 0.0)
+            sep = _Descent(state, ds, 1).sep
+            for j in range(k):
+                want = cluster_cost(sse, ds, j) - alpha * float(state.sizes[j]) * sep[j]
+                assert cluster_cost(state, ds, j) == want
 
 
 class TestStateInvariants:
@@ -351,8 +403,8 @@ class TestCacFit:
             ds = self.make_ds(seed=seed, ics=2.0, n=400)
             run = cac_fit(ds, 2, 0.5, seed=seed)
             init_state = ClusterState.from_assignments(ds, run.init_assignments, 2, 0.5)
-            before = np.mean([np.sqrt(init_state.separation_sq(j)) for j in range(2)])
-            after = np.mean([np.sqrt(run.state.separation_sq(j)) for j in range(2)])
+            before = np.mean(np.sqrt(_separations(init_state)))
+            after = np.mean(np.sqrt(_separations(run.state)))
             gains.append(after - before)
         assert np.mean(gains) >= 0.0
 
