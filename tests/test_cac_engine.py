@@ -307,7 +307,7 @@ class TestApplyMove:
 
         def watch(state, i, p, q, delta):
             applied.append((i, p, q))
-            live[:] = [state]
+            live.append(state)
 
         run = cac_fit(ds, 4, 3.0, seed=7, on_move=watch)
         assert len(applied) > 100
@@ -315,7 +315,7 @@ class TestApplyMove:
         for i, p, q in applied:
             apply_move(replay, ds, i, p, q)
         for field in ("sizes", "class_counts", "centroids", "class_centroids", "assignments"):
-            assert getattr(replay, field).tobytes() == getattr(live[0], field).tobytes(), field
+            assert getattr(replay, field).tobytes() == getattr(live[-1], field).tobytes(), field
 
 
 class TestSeparation:
