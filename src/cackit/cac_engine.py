@@ -21,7 +21,7 @@ import numpy as np
 from . import classifiers as _clf
 from .cluster_core import _dump_model, _load_model, kmeanspp_init, lloyd, nearest_centroids
 from .dataset import LabeledDataset
-from .errors import EmptyCluster, IllegalMove, InfeasibleInit, NotBinary, UntrainedModel
+from .errors import DimensionMismatch, EmptyCluster, IllegalMove, InfeasibleInit, NotBinary, UntrainedModel
 from .metrics import DECISION_THRESHOLD
 
 DEFAULT_MAX_ROUNDS = 100
@@ -310,12 +310,21 @@ def cac_fit(ds: LabeledDataset, k: int, alpha: float, max_rounds: int = DEFAULT_
 
 @dataclass
 class CacModel:
-    """Fitted cluster centroids plus one trained classifier per cluster."""
+    """Fitted cluster centroids plus one trained classifier per cluster.
+
+    Read-only after construction, which checks the classifiers against the
+    centroids and builds the scoring state both predict functions read."""
 
     centroids: np.ndarray
     classifiers: list
     alpha: float
     trace: list[float]
+
+    def __post_init__(self):
+        n, k = len(self.classifiers), self.k
+        if n and n != k:
+            raise DimensionMismatch(f"cluster {n} has no classifier" if n < k else f"classifier {k} has no cluster")
+        self._scoring = _clf._routed_scoring(self.classifiers, self.centroids.shape[1])
 
     @property
     def k(self) -> int:
@@ -326,10 +335,13 @@ def cac_predict(model: CacModel, x: np.ndarray) -> tuple[int, float]:
     """Route to the nearest centroid, score there; label 1 iff score >= DECISION_THRESHOLD."""
     if not model.classifiers:
         raise UntrainedModel("model has no per-cluster classifiers")
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)[None]
     # nearest_centroids rejects a point that is not 1-D of the centroids' width
-    j = nearest_centroids(x[None], model.centroids)[0]
-    score = _clf.predict_proba_batch(model.classifiers[j], x[None])[0]
+    j = nearest_centroids(x, model.centroids)[0]
+    table, constant, knn = model._scoring  # the row's cac_predict_batch score, bit for bit
+    score = constant[j]
+    if np.isnan(score):
+        score = (_clf._knn_proba(knn[j], x) if j in knn else _clf._linear_proba(x, table[j:j + 1]))[0]
     return (1 if score >= DECISION_THRESHOLD else 0, float(score))
 
 
@@ -338,7 +350,7 @@ def cac_predict_batch(model: CacModel, features: np.ndarray) -> tuple[np.ndarray
     if not model.classifiers:
         raise UntrainedModel("model has no per-cluster classifiers")
     x = np.asarray(features, dtype=np.float64)
-    scores = _clf._predict_proba_routed(model.classifiers, x, nearest_centroids(x, model.centroids))
+    scores = _clf._predict_proba_routed(model._scoring, x, nearest_centroids(x, model.centroids))
     labels = (scores >= DECISION_THRESHOLD).astype(np.int64)
     return labels, scores
 

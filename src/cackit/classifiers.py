@@ -232,48 +232,56 @@ def predict_proba_batch(clf: TrainedClassifier, x: np.ndarray) -> np.ndarray:
         return np.full(x.shape[0], clf.constant_proba)
     _check_width(clf, x.shape[1])
     if clf.kind == "knn":
-        # rows in blocks whose (rows, n_train, d) difference tensor stays bounded
-        train = clf.train_features
-        k = min(clf.k_neighbors, train.shape[0])
-        step = max(1, cluster_core.ROUTE_BLOCK_ELEMENTS // max(1, train.size))
-        out = np.empty(x.shape[0])
-        for start in range(0, x.shape[0], step):
-            diff = x[start:start + step, None, :] - train[None, :, :]
-            np.multiply(diff, diff, out=diff)
-            order = np.argsort(diff.sum(axis=2), axis=1, kind="stable")[:, :k]
-            out[start:start + step] = clf.train_labels[order].mean(axis=1)
-        return out
+        return _knn_proba(clf, x)
     return _linear_proba(x, clf.weights[None])
 
 
-def _predict_proba_routed(classifiers: list[TrainedClassifier], x: np.ndarray,
-                          routes: np.ndarray) -> np.ndarray:
-    """`predict_proba_batch` of each row of x under `classifiers[routes[i]]`.
+def _knn_proba(clf: TrainedClassifier, x: np.ndarray) -> np.ndarray:
+    """The positive vote fraction for each row of x, whose width is checked."""
+    # rows in blocks whose (rows, n_train, d) difference tensor stays bounded
+    train = clf.train_features
+    k = min(clf.k_neighbors, train.shape[0])
+    step = max(1, cluster_core.ROUTE_BLOCK_ELEMENTS // max(1, train.size))
+    out = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], step):
+        diff = x[start:start + step, None, :] - train[None, :, :]
+        np.multiply(diff, diff, out=diff)
+        order = np.argsort(diff.sum(axis=2), axis=1, kind="stable")[:, :k]
+        out[start:start + step] = clf.train_labels[order].mean(axis=1)
+    return out
 
-    Every row takes its cluster's weight row from a (k, d+1) table built
-    here, so all linear rows score in one pass; rows of a constant cluster
-    take its `constant_proba`. Only knn clusters, which have no weight row,
-    are scored one cluster at a time.
-    """
-    table = np.zeros((len(classifiers), x.shape[1] + 1))
-    constant = np.full(len(classifiers), np.nan)  # NaN where the cluster is not constant
-    knn = []
+
+def _routed_scoring(classifiers: list[TrainedClassifier], width: int) -> tuple:
+    """What `_predict_proba_routed` scores from: the (k, width+1) weight table
+    of the linear clusters, each constant cluster's `constant_proba` (NaN
+    elsewhere) and the knn classifiers by cluster. Checks every width once."""
+    table = np.zeros((len(classifiers), width + 1))
+    constant = np.full(len(classifiers), np.nan)
     for j, clf in enumerate(classifiers):
         if clf.kind == "constant":
             constant[j] = clf.constant_proba
-        elif clf.kind == "knn":
-            knn.append(j)
-        else:
-            _check_width(clf, x.shape[1])
+            continue
+        try:
+            _check_width(clf, width)
+        except DimensionMismatch as e:
+            raise DimensionMismatch(f"cluster {j}'s classifier {e}") from None
+        if clf.kind != "knn":
             table[j] = clf.weights
+    return table, constant, {j: clf for j, clf in enumerate(classifiers) if clf.kind == "knn"}
+
+
+def _predict_proba_routed(scoring: tuple, x: np.ndarray, routes: np.ndarray) -> np.ndarray:
+    """`predict_proba_batch` of each row of x under cluster routes[i]'s
+    classifier, from the classifiers' `_routed_scoring`: all linear rows in
+    one pass, constants copied in, and knn clusters one at a time."""
+    table, constant, knn = scoring
     out = _linear_proba(x, table[routes])
     fixed = constant[routes]
     np.copyto(out, fixed, where=~np.isnan(fixed))
     if knn:
-        rows = np.isin(routes, knn)
+        rows = np.isin(routes, list(knn))
         out[rows] = cluster_core._score_by_route(
-            x[rows], routes[rows], lambda j, xj: predict_proba_batch(classifiers[j], xj),
-            np.empty(int(rows.sum())))
+            x[rows], routes[rows], lambda j, xj: _knn_proba(knn[j], xj), np.empty(int(rows.sum())))
     return out
 
 

@@ -17,10 +17,10 @@ LLOYD_TOL = 1e-6
 # of float64. Each row's distances are summed on their own, so the block size
 # cannot change a route or a vote.
 ROUTE_BLOCK_ELEMENTS = 1 << 16
-# smallest chunk (rows * k * d) nearest_centroids screens with the expanded form.
+# smallest x (rows * k * d entries) nearest_centroids screens with the expanded form.
 # Below it the screen's fixed numpy calls cost more than the difference block
 # they save: measured, the screen won on every probed shape at 2**14 entries
-# and lost on most at 2**13.
+# and lost on most at 2**13. Below ROUTE_BLOCK_ELEMENTS, so a smaller x fits one block.
 ROUTE_SCREEN_ELEMENTS = 1 << 14
 # largest (rows, n) distance block silhouette builds at once: 0.5 MB of float64.
 # On real-valued features its BLAS products round differently at other block shapes.
@@ -43,29 +43,24 @@ def nearest_centroids(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Index of the closest centroid for each row of x; ties break to the lowest index.
 
     Each route is the argmin of the row's difference-form squared distances,
-    sum((x - c) ** 2), which stay exact at any feature offset. Rows go in
-    chunks whose (rows, k, d) difference block holds at most
-    ROUTE_BLOCK_ELEMENTS entries, so memory is bounded at any n.
-
-    When a full difference chunk holds at least ROUTE_SCREEN_ELEMENTS entries,
-    x is first screened with expanded-form distances from one matrix product,
-    in chunks whose (k, rows) arrays hold at most ROUTE_BLOCK_ELEMENTS
-    entries. A row is settled there only when a rounding bound on both forms
-    leaves a single centroid that can be nearest. Every other row (exact and
-    near ties, NaN and inf rows, values near overflow, data at large offsets)
-    falls back to the difference form, so the routes are bit for bit the
-    difference form's.
+    sum((x - c) ** 2), which stay exact at any feature offset. An x whose
+    (rows, k, d) difference block holds fewer than ROUTE_SCREEN_ELEMENTS
+    entries, such as one row, is routed in that one block. A larger x is
+    first screened with expanded-form distances from one matrix product, in
+    chunks whose (k, rows) arrays hold at most ROUTE_BLOCK_ELEMENTS entries;
+    a row is settled there only when a rounding bound on both forms leaves
+    one centroid that can be nearest. Every other row (ties, near ties, NaN
+    and inf rows, values near overflow, large offsets) takes the difference
+    form in chunks of at most ROUTE_BLOCK_ELEMENTS entries, so memory is
+    bounded at any n and routes are bit for bit the difference form's.
     """
     x = np.asarray(x, dtype=np.float64)
     c = np.asarray(centroids, dtype=np.float64)
     if x.ndim != 2 or c.ndim != 2 or x.shape[1] != c.shape[1]:
         raise DimensionMismatch(f"points of shape {x.shape} vs centroids of shape {c.shape}")
+    if x.shape[0] * c.size < ROUTE_SCREEN_ELEMENTS:
+        return _difference_routes(x, c)
     routes = np.empty(x.shape[0], dtype=np.int64)
-    step = max(1, ROUTE_BLOCK_ELEMENTS // max(1, c.size))
-    if min(step, x.shape[0]) * c.size < ROUTE_SCREEN_ELEMENTS:
-        for start in range(0, x.shape[0], step):
-            routes[start:start + step] = _difference_routes(x[start:start + step], c)
-        return routes
     c_neg2 = c * -2.0
     c_sq = np.einsum("kd,kd->k", c, c)
     step = max(1, ROUTE_BLOCK_ELEMENTS // c.shape[0])
@@ -153,7 +148,7 @@ def _load_model(text: str, kind: str, build):
         return build(d)
     except KeyError as e:
         raise SchemaMismatch(f"{kind} model payload has no field {e.args[0]!r}") from None
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, DimensionMismatch) as e:
         raise SchemaMismatch(f"{kind} model payload is malformed: {e}") from None
 
 

@@ -7,6 +7,7 @@ one-point move wrappers around the block scorer live in oracles.py.
 """
 
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cackit import classifiers
 from cackit.cac_engine import (
     MOVE_TOL,
     CacModel,
@@ -33,13 +35,22 @@ from cackit.cac_engine import (
 from cackit.classifiers import (
     ClassifierSpec,
     _predict_proba_routed,
+    _routed_scoring,
     constant_classifier,
     predict_proba_batch,
     train_per_cluster,
 )
 from cackit.cluster_core import kmeanspp_init, lloyd, nearest_centroids
 from cackit.dataset import LabeledDataset, SyntheticSpec, make_classification
-from cackit.errors import DimensionMismatch, EmptyCluster, IllegalMove, InfeasibleInit, NotBinary
+from cackit.errors import (
+    DimensionMismatch,
+    EmptyCluster,
+    IllegalMove,
+    InfeasibleInit,
+    NotBinary,
+    SchemaMismatch,
+    UntrainedModel,
+)
 
 from conftest import (
     cluster_score_oracle,
@@ -704,9 +715,41 @@ class TestPrediction:
         local = train_per_cluster(run.state, ds, ClassifierSpec(kind=kind, epochs=50))
         x = rng.normal(size=(200, 5))
         routes = rng.integers(0, 3, 200)
-        routed = _predict_proba_routed(local, x, routes)
+        routed = _predict_proba_routed(_routed_scoring(local, 5), x, routes)
         for j, clf in enumerate(local):
             np.testing.assert_array_equal(predict_proba_batch(clf, x[routes == j]), routed[routes == j])
+
+    def test_scoring_state_is_built_once(self, monkeypatch, rng):
+        spec = SyntheticSpec(n_samples=300, n_features=5, n_clusters=3, ics=1.0, ocs=1.5, seed=4)
+        ds = make_classification(spec)
+        run = cac_fit(ds, 4, 0.5, seed=4)
+        local = train_per_cluster(run.state, ds, ClassifierSpec(kind="logreg", epochs=50))
+        local[1] = train_per_cluster(run.state, ds, ClassifierSpec(kind="knn"))[1]
+        local[2] = constant_classifier(1)
+        calls = {"builds": 0, "widths": 0}
+        build, check = classifiers._routed_scoring, classifiers._check_width
+
+        def counted_build(*args):
+            calls["builds"] += 1
+            return build(*args)
+
+        def counted_check(*args):
+            calls["widths"] += 1
+            return check(*args)
+
+        monkeypatch.setattr(classifiers, "_routed_scoring", counted_build)
+        monkeypatch.setattr(classifiers, "_check_width", counted_check)
+        model = CacModel(run.state.centroids.copy(), local, 0.5, run.cost_trace)
+        assert calls == {"builds": 1, "widths": 3}  # the constant cluster has no width
+        x = rng.normal(size=(40, 5))
+        for i in range(0, 40, 8):
+            cac_predict_batch(model, x[i:i + 8])
+        singles = [cac_predict(model, row) for row in x]
+        assert calls == {"builds": 1, "widths": 3}
+        routes = nearest_centroids(x, model.centroids)
+        assert set(routes) == set(range(4))
+        want = [predict_proba_batch(local[j], row[None])[0] for j, row in zip(routes, x)]
+        np.testing.assert_array_equal([sc for _, sc in singles], want)
 
     @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((1, 2))], ids=["wrong-length", "two-d"])
     def test_point_of_wrong_shape_rejected(self, x):
@@ -716,6 +759,44 @@ class TestPrediction:
 
 
 class TestSerialization:
+    def tiny_model(self):
+        spec = SyntheticSpec(n_samples=200, n_features=3, n_clusters=2, ics=1.0, ocs=1.0, seed=9)
+        ds = make_classification(spec)
+        run = cac_fit(ds, 2, 0.5, seed=9)
+        local = train_per_cluster(run.state, ds, ClassifierSpec(kind="logreg", epochs=50))
+        return CacModel(run.state.centroids.copy(), local, 0.5, run.cost_trace)
+
+    @pytest.mark.parametrize("keep, message", [(1, "cluster 1 has no classifier"),
+                                               (3, "classifier 2 has no cluster")])
+    def test_classifier_count_must_match_the_centroids(self, keep, message):
+        model = self.tiny_model()
+        payload = json.loads(cac_model_to_json(model))
+        payload["classifiers"] = (payload["classifiers"] * 2)[:keep]
+        with pytest.raises(SchemaMismatch, match=f"^cac model payload is malformed: {message}$"):
+            cac_model_from_json(json.dumps(payload))
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            CacModel(model.centroids, (model.classifiers * 2)[:keep], 0.5, [0.0])
+
+    def test_classifier_width_must_match_the_centroids(self):
+        model = self.tiny_model()
+        payload = json.loads(cac_model_to_json(model))
+        payload["classifiers"][1]["weights"].append(0.0)
+        message = "cluster 1's classifier expected 4 features, got 3"
+        with pytest.raises(SchemaMismatch, match=f"^cac model payload is malformed: {message}$"):
+            cac_model_from_json(json.dumps(payload))
+        wide = classifiers.classifier_from_dict(payload["classifiers"][1])
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            CacModel(model.centroids, [model.classifiers[0], wide], 0.5, [0.0])
+
+    def test_model_without_classifiers_loads_but_does_not_predict(self):
+        payload = json.loads(cac_model_to_json(self.tiny_model()))
+        payload["classifiers"] = []
+        model = cac_model_from_json(json.dumps(payload))
+        with pytest.raises(UntrainedModel):
+            cac_predict(model, np.zeros(3))
+        with pytest.raises(UntrainedModel):
+            cac_predict_batch(model, np.zeros((2, 3)))
+
     def test_round_trip_is_bit_exact(self, rng):
         spec = SyntheticSpec(n_samples=200, n_features=3, n_clusters=2,
                              ics=1.0, ocs=1.0, seed=9)

@@ -243,11 +243,32 @@ class TestNearestIndex:
         x = rng.normal(size=(700, 64))
         x[:50] = (cents[0] + cents[1]) / 2.0
         got = []
-        for threshold in (0, cluster_core.ROUTE_BLOCK_ELEMENTS + 1):
+        for threshold in (0, x.shape[0] * cents.size + 1):
             monkeypatch.setattr(cluster_core, "ROUTE_SCREEN_ELEMENTS", threshold)
             got.append(nearest_centroids(x, cents))
         np.testing.assert_array_equal(got[0], got[1])
         np.testing.assert_array_equal(got[0], brute_routes(x, cents))
+
+    @pytest.mark.parametrize("n, k, d, screened", [(127, 3, 43, False), (128, 4, 32, True)])
+    def test_one_block_below_the_screen_threshold(self, monkeypatch, n, k, d, screened):
+        # n * k * d is 2**14 - 1, routed in one difference block, or 2**14, screened
+        assert (n * k * d < cluster_core.ROUTE_SCREEN_ELEMENTS) != screened
+        calls = []
+        screen = cluster_core._screened_routes
+        monkeypatch.setattr(cluster_core, "_screened_routes",
+                            lambda *args: calls.append(1) or screen(*args))
+        rng = np.random.default_rng(n)
+        cents = rng.integers(-3, 4, size=(k, d)).astype(np.float64)
+        cents[-1] = cents[0]  # a duplicated centroid: its nearest rows tie
+        x = rng.normal(size=(n, d))
+        x[:10] = (cents[0] + cents[1]) / 2.0  # exact ties
+        x[10:13] = np.nan
+        x[13, 0] = np.nan
+        for rows in (x, x[:0]):
+            got = nearest_centroids(rows, cents)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, brute_routes(rows, cents))
+        assert bool(calls) == screened
 
     def test_shape_mismatch_rejected(self):
         cents = np.zeros((3, 4))
