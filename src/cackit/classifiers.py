@@ -218,70 +218,75 @@ def constant_classifier(label: int) -> TrainedClassifier:
     return TrainedClassifier(kind="constant", constant_proba=p, training_log=0.0)
 
 
-def _check_width(clf: TrainedClassifier, width: int) -> None:
-    expected = (clf.train_features.shape[1] if clf.kind == "knn"
-                else clf.weights.shape[0] - 1)
-    if width != expected:
-        raise DimensionMismatch(f"expected {expected} features, got {width}")
-
-
 def predict_proba_batch(clf: TrainedClassifier, x: np.ndarray) -> np.ndarray:
-    """Positive-class probability for each row of x."""
+    """Positive-class probability for each row of x: the one-cluster case of
+    `_predict_proba_routed`, so a bare classifier is checked as a model's are."""
     x = np.asarray(x, dtype=np.float64)
-    if clf.kind == "constant":
-        return np.full(x.shape[0], clf.constant_proba)
-    _check_width(clf, x.shape[1])
-    if clf.kind == "knn":
-        return _knn_proba(clf, x)
-    return _linear_proba(x, clf.weights[None])
+    if x.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-D batch of rows, got shape {x.shape}")
+    return _predict_proba_routed(_routed_scoring([clf], x.shape[1]), x, np.zeros(x.shape[0], dtype=np.intp))
 
 
 def _knn_proba(clf: TrainedClassifier, x: np.ndarray) -> np.ndarray:
     """The positive vote fraction for each row of x, whose width is checked."""
-    # rows in blocks whose (rows, n_train, d) difference tensor stays bounded
     train = clf.train_features
-    k = min(clf.k_neighbors, train.shape[0])
     step = max(1, cluster_core.ROUTE_BLOCK_ELEMENTS // max(1, train.size))
     out = np.empty(x.shape[0])
     for start in range(0, x.shape[0], step):
         diff = x[start:start + step, None, :] - train[None, :, :]
         np.multiply(diff, diff, out=diff)
-        order = np.argsort(diff.sum(axis=2), axis=1, kind="stable")[:, :k]
+        order = np.argsort(diff.sum(axis=2), axis=1, kind="stable")[:, :clf.k_neighbors]
         out[start:start + step] = clf.train_labels[order].mean(axis=1)
     return out
 
 
 def _routed_scoring(classifiers: list[TrainedClassifier], width: int) -> tuple:
-    """What `_predict_proba_routed` scores from: the (k, width+1) weight table
-    of the linear clusters, each constant cluster's `constant_proba` (NaN
-    elsewhere) and the knn classifiers by cluster. Checks every width once."""
+    """What `_predict_proba_routed` scores from: the (k, width+1) weight table of the
+    linear clusters, each constant cluster's `constant_proba` (NaN elsewhere) and the
+    knn classifiers by cluster. The one check of a classifier, naming its cluster: an
+    unknown kind or a constant_proba not in [0, 1] is an InvalidSpec; arrays that are
+    empty or do not fit `width` or each other, or a k_neighbors below 1, are a
+    DimensionMismatch."""
     table = np.zeros((len(classifiers), width + 1))
     constant = np.full(len(classifiers), np.nan)
+    knn = {}
     for j, clf in enumerate(classifiers):
         if clf.kind == "constant":
+            if not (_is_number(clf.constant_proba) and 0.0 <= clf.constant_proba <= 1.0):
+                raise InvalidSpec(f"cluster {j}'s constant_proba {clf.constant_proba!r} is not in [0, 1]")
             constant[j] = clf.constant_proba
             continue
-        try:
-            _check_width(clf, width)
-        except DimensionMismatch as e:
-            raise DimensionMismatch(f"cluster {j}'s classifier {e}") from None
+        if clf.kind not in KINDS:
+            raise InvalidSpec(f"cluster {j}'s classifier has unknown kind {clf.kind!r}")
+        if clf.kind == "knn":
+            train, labels = clf.train_features, clf.train_labels
+            if (train is None or labels is None or train.ndim != 2 or labels.shape != train.shape[:1]
+                    or not labels.size or clf.k_neighbors < 1):
+                raise DimensionMismatch(f"cluster {j}'s knn classifier needs training rows with one label "
+                                        f"each and k_neighbors >= 1, got {clf.k_neighbors}")
+            knn[j], expected = clf, train.shape[1]
+        elif clf.weights is None or clf.weights.ndim != 1:
+            raise DimensionMismatch(f"cluster {j}'s {clf.kind} classifier has no weight vector")
+        else:
+            expected = clf.weights.shape[0] - 1
+        if expected != width:
+            raise DimensionMismatch(f"cluster {j}'s classifier expected {expected} features, got {width}")
         if clf.kind != "knn":
             table[j] = clf.weights
-    return table, constant, {j: clf for j, clf in enumerate(classifiers) if clf.kind == "knn"}
+    return table, constant, knn
 
 
 def _predict_proba_routed(scoring: tuple, x: np.ndarray, routes: np.ndarray) -> np.ndarray:
-    """`predict_proba_batch` of each row of x under cluster routes[i]'s
-    classifier, from the classifiers' `_routed_scoring`: all linear rows in
-    one pass, constants copied in, and knn clusters one at a time."""
+    """The positive-class probability of each row x[i] under cluster routes[i]'s classifier,
+    from the classifiers' `_routed_scoring`: all linear rows in one pass, constants copied
+    in, and knn clusters one at a time."""
     table, constant, knn = scoring
     out = _linear_proba(x, table[routes])
     fixed = constant[routes]
     np.copyto(out, fixed, where=~np.isnan(fixed))
-    if knn:
-        rows = np.isin(routes, list(knn))
-        out[rows] = cluster_core._score_by_route(
-            x[rows], routes[rows], lambda j, xj: _knn_proba(knn[j], xj), np.empty(int(rows.sum())))
+    for j, clf in knn.items():
+        rows = routes == j
+        out[rows] = _knn_proba(clf, x[rows])
     return out
 
 
@@ -354,25 +359,13 @@ def train_per_cluster(state, ds: LabeledDataset, spec: ClassifierSpec) -> list[T
 
 
 def classifier_to_dict(clf: TrainedClassifier) -> dict:
-    """JSON-ready dict; arrays become nested lists."""
-    return {
-        "kind": clf.kind,
-        "weights": None if clf.weights is None else clf.weights.tolist(),
-        "train_features": None if clf.train_features is None else clf.train_features.tolist(),
-        "train_labels": None if clf.train_labels is None else clf.train_labels.tolist(),
-        "k_neighbors": clf.k_neighbors,
-        "constant_proba": clf.constant_proba,
-        "training_log": clf.training_log,
-    }
+    """JSON-ready dict of the fields in order; arrays become nested lists."""
+    return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in vars(clf).items()}
 
 
 def classifier_from_dict(d: dict) -> TrainedClassifier:
-    return TrainedClassifier(
-        kind=d["kind"],
-        weights=None if d["weights"] is None else np.asarray(d["weights"], dtype=np.float64),
-        train_features=None if d["train_features"] is None else np.asarray(d["train_features"], dtype=np.float64),
-        train_labels=None if d["train_labels"] is None else np.asarray(d["train_labels"], dtype=np.int64),
-        k_neighbors=int(d["k_neighbors"]),
-        constant_proba=d["constant_proba"],
-        training_log=float(d["training_log"]),
-    )
+    """A `classifier_to_dict` dict read as it is; `_routed_scoring` checks it."""
+    arrays = {name: None if d[name] is None else np.asarray(d[name], dtype=dtype) for name, dtype in
+              (("weights", np.float64), ("train_features", np.float64), ("train_labels", np.int64))}
+    return TrainedClassifier(d["kind"], **arrays, k_neighbors=int(d["k_neighbors"]),
+                             constant_proba=d["constant_proba"], training_log=float(d["training_log"]))

@@ -8,23 +8,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InfeasibleInit, OneCluster, SchemaMismatch
+from .errors import DimensionMismatch, InfeasibleInit, InvalidSpec, OneCluster, SchemaMismatch
 
 LLOYD_MAX_ITER = 300
 LLOYD_TOL = 1e-6
 # largest block nearest_centroids (rows, k, d differences; the screen's (k, rows)
-# distances) or kNN scoring (rows, n_train, d differences) builds at once: 0.5 MB
-# of float64. Each row's distances are summed on their own, so the block size
-# cannot change a route or a vote.
+# distances), kNN scoring (rows, n_train, d differences) or silhouette ((rows, n)
+# distances) builds at once: 0.5 MB of float64. Each row's distances are summed
+# on their own, so the block size cannot change a route or a vote; but on
+# real-valued features silhouette's BLAS products round differently at other
+# block shapes, so a new value moves silhouette bits.
 ROUTE_BLOCK_ELEMENTS = 1 << 16
 # smallest x (rows * k * d entries) nearest_centroids screens with the expanded form.
 # Below it the screen's fixed numpy calls cost more than the difference block
 # they save: measured, the screen won on every probed shape at 2**14 entries
 # and lost on most at 2**13. Below ROUTE_BLOCK_ELEMENTS, so a smaller x fits one block.
 ROUTE_SCREEN_ELEMENTS = 1 << 14
-# largest (rows, n) distance block silhouette builds at once: 0.5 MB of float64.
-# On real-valued features its BLAS products round differently at other block shapes.
-SILHOUETTE_BLOCK_ELEMENTS = 1 << 16
 # the "schema" field of every saved model file
 MODEL_SCHEMA = 1
 
@@ -113,17 +112,6 @@ def _screened_routes(x: np.ndarray, c: np.ndarray, c_neg2: np.ndarray,
     return routes
 
 
-def _score_by_route(x: np.ndarray, routes: np.ndarray, score, out: np.ndarray) -> np.ndarray:
-    """Fill `out` with `score(j, x[rows])` for the rows of x routed to each cluster j.
-
-    Only the clusters present in `routes` are visited.
-    """
-    for j in np.unique(routes):
-        rows = routes == j
-        out[rows] = score(j, x[rows])
-    return out
-
-
 def _dump_model(kind: str, fields: dict) -> str:
     """A saved `kind` model: the schema and kind, then `fields` in their order."""
     return json.dumps({"schema": MODEL_SCHEMA, "kind": kind, **fields}, indent=2)
@@ -133,7 +121,7 @@ def _load_model(text: str, kind: str, build):
     """`build` applied to the JSON object of a saved `kind` model, schema MODEL_SCHEMA.
 
     Text that is not such an object, or an object `build` cannot read (a
-    missing field, a value of the wrong type or shape), is a SchemaMismatch
+    missing field, a value of the wrong type, shape or range), is a SchemaMismatch
     that names the fault.
     """
     try:
@@ -148,7 +136,7 @@ def _load_model(text: str, kind: str, build):
         return build(d)
     except KeyError as e:
         raise SchemaMismatch(f"{kind} model payload has no field {e.args[0]!r}") from None
-    except (TypeError, ValueError, DimensionMismatch) as e:
+    except (TypeError, ValueError, DimensionMismatch, InvalidSpec) as e:
         raise SchemaMismatch(f"{kind} model payload is malformed: {e}") from None
 
 
@@ -251,7 +239,7 @@ def silhouette(features: np.ndarray, assignments: np.ndarray) -> float | list[fl
 
     Distances come from the expanded form on the features minus their first
     row, so a common offset cancels exactly, in blocks of at most
-    SILHOUETTE_BLOCK_ELEMENTS entries; a point's distance to itself is
+    ROUTE_BLOCK_ELEMENTS entries; a point's distance to itself is
     exactly 0. Each row's per-cluster sums are reduced on their own, so on
     integer-valued features every block shape gives the same bits.
     """
@@ -269,7 +257,7 @@ def silhouette(features: np.ndarray, assignments: np.ndarray) -> float | list[fl
         groups.append((own, sizes, order, starts, np.empty((n, sizes.size))))
     xs = x - x[0]
     sq = np.einsum("nd,nd->n", xs, xs)
-    step = max(1, SILHOUETTE_BLOCK_ELEMENTS // n)
+    step = max(1, ROUTE_BLOCK_ELEMENTS // n)
     for start in range(0, n, step):
         dist = (xs[start:start + step] * -2.0) @ xs.T
         dist += sq[start:start + step, None]

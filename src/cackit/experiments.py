@@ -171,15 +171,13 @@ def run_baseline(cfg: dict, run_seed: int) -> tuple[dict, str | None]:
     pretrain-then-cluster neural baseline."""
     train, val, test = prepare_data(cfg, run_seed)
     m = cfg["model"]
-    kind = m["baseline"]
+    kind, spec = m["baseline"], classifiers.ClassifierSpec(**m["classifier"])
     if kind == "km":
-        spec = classifiers.ClassifierSpec(**m["classifier"])
         run, model = _fit_model(train, m["k"], 0.0, spec, run_seed, max_rounds=0)
         sil = silhouette(train.features, run.state.assignments) if m["k"] >= 2 else None
         report = _evaluate_cac(model, test, sil)
         return _report_dict(cfg, run_seed, f"km+{spec.kind}", report, {}), None
     if kind == "bare":
-        spec = classifiers.ClassifierSpec(**m["classifier"])
         clf = classifiers.train_classifier(train.features, train.labels, spec)
         scores = classifiers.predict_proba_batch(clf, test.features)
         report = metrics.evaluate_binary(scores, test.labels)
@@ -227,14 +225,10 @@ def _report_dict(cfg: dict, run_seed: int, method: str, report: metrics.EvalRepo
 
 def run_single(cfg: dict, run_seed: int) -> tuple[dict, str | None]:
     """Dispatch one (config, seed) run to its task runner."""
-    task = cfg["task"]
-    if task == "fit-cac":
-        return run_fit_cac(cfg, run_seed)
-    if task == "fit-deepcac":
-        return run_fit_deepcac(cfg, run_seed)
-    if task == "baseline":
-        return run_baseline(cfg, run_seed)
-    raise ConfigInvalid("task", f"{task!r} is not a per-seed runnable task")
+    runner = {"fit-cac": run_fit_cac, "fit-deepcac": run_fit_deepcac, "baseline": run_baseline}.get(cfg["task"])
+    if runner is None:
+        raise ConfigInvalid("task", f"{cfg['task']!r} is not a per-seed runnable task")
+    return runner(cfg, run_seed)
 
 
 def _write_text(path: Path, text: str) -> None:

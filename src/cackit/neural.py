@@ -483,9 +483,34 @@ class DeepCacModel:
     n_classes: int
     history: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        """Check once that the parts fit: the encoder's layers chain, the centroids are as wide
+        as its output, and the head and one local net per centroid fit that width and n_classes."""
+        latent = _net_widths(self.encoder, "encoder")[1]
+        if self.centroids.ndim != 2 or self.centroids.shape[1] != latent:
+            raise DimensionMismatch(f"centroids of shape {self.centroids.shape} vs encoder output width {latent}")
+        n, k = len(self.local_nets), self.k
+        if n and n != k:
+            raise DimensionMismatch(f"cluster {n} has no local net" if n < k else f"local net {k} has no cluster")
+        if self.head.weight.shape != (self.n_classes, latent):
+            raise DimensionMismatch(f"head of shape {self.head.weight.shape} is not ({self.n_classes}, {latent})")
+        for j, net in enumerate(self.local_nets):
+            if _net_widths(net, f"local net {j}") != (latent, self.n_classes):
+                raise DimensionMismatch(f"local net {j} does not map {latent} inputs to {self.n_classes} classes")
+
     @property
     def k(self) -> int:
         return self.centroids.shape[0]
+
+
+def _net_widths(net: DenseNet, part: str) -> tuple[int, int]:
+    """The input and output widths of `net`, whose layers must chain."""
+    if not net.weights or len(net.weights) != len(net.biases):
+        raise DimensionMismatch(f"{part} has {len(net.weights)} weight matrices and {len(net.biases)} biases")
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        if w.ndim != 2 or b.shape != w.shape[1:] or (l and w.shape[0] != net.weights[l - 1].shape[1]):
+            raise DimensionMismatch(f"{part} layer {l}: weights {w.shape} and bias {b.shape} do not chain")
+    return net.weights[0].shape[0], net.weights[-1].shape[1]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

@@ -9,18 +9,33 @@ recomputation and replay the descent one point and one cluster at a time.
 
 The reference logreg trainer and DeepCAC's reference local-net trainer and
 scorer train or score one cluster at a time, as the library did before its
-lockstep loops; the lockstep loops must reproduce them bit for bit.
+lockstep loops; the lockstep loops must reproduce them bit for bit. The
+reference classifier scorer applies each kind's own formula to one
+classifier, as the library did before every score went through one routed
+pass.
 """
 
 import numpy as np
 
 from cackit import metrics
 from cackit.cac_engine import ClusterState, _separations, can_remove
-from cackit.classifiers import ClassifierSpec, TrainedClassifier, _augment, _check_binary, _sigmoid, _softplus
-from cackit.cluster_core import _score_by_route, nearest_centroids
+from cackit.classifiers import (ClassifierSpec, TrainedClassifier, _augment, _check_binary, _knn_proba,
+                                _linear_proba, _sigmoid, _softplus)
+from cackit.cluster_core import nearest_centroids
 from cackit.dataset import LabeledDataset
 from cackit.errors import IllegalMove
 from cackit.neural import DenseNet, init_dense
+
+
+def _score_by_route(x: np.ndarray, routes: np.ndarray, score, out: np.ndarray) -> np.ndarray:
+    """Fill `out` with `score(j, x[rows])` for the rows of x routed to each cluster j.
+
+    Only the clusters present in `routes` are visited.
+    """
+    for j in np.unique(routes):
+        rows = routes == j
+        out[rows] = score(j, x[rows])
+    return out
 
 
 def _score_block(state: ClusterState, ds: LabeledDataset, rows: slice, sep: np.ndarray) -> np.ndarray:
@@ -127,6 +142,18 @@ def reference_train_logreg(x: np.ndarray, y: np.ndarray, spec: ClassifierSpec) -
         if not stepped:
             break
     return TrainedClassifier(kind="logreg", weights=beta, training_log=loss)
+
+
+def reference_predict_proba(clf: TrainedClassifier, x: np.ndarray) -> np.ndarray:
+    """Positive-class probability for each row of a 2-D x under one classifier,
+    from its kind's own formula: the constant, the knn vote fraction, or the
+    sigmoid of one weight row broadcast over all rows."""
+    x = np.asarray(x, dtype=np.float64)
+    if clf.kind == "constant":
+        return np.full(x.shape[0], clf.constant_proba)
+    if clf.kind == "knn":
+        return _knn_proba(clf, x)
+    return _linear_proba(x, clf.weights[None])
 
 
 # --- DeepCAC's local nets, one cluster at a time ----------------------------

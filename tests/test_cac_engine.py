@@ -47,6 +47,7 @@ from cackit.errors import (
     EmptyCluster,
     IllegalMove,
     InfeasibleInit,
+    InvalidSpec,
     NotBinary,
     SchemaMismatch,
     UntrainedModel,
@@ -60,7 +61,13 @@ from conftest import (
     rel_err,
     total_score_oracle,
 )
-from oracles import merge_cost_change, move_cost_change, removal_cost_change
+from oracles import (
+    _score_by_route,
+    merge_cost_change,
+    move_cost_change,
+    reference_predict_proba,
+    removal_cost_change,
+)
 
 
 def two_point_state(alpha):
@@ -726,30 +733,39 @@ class TestPrediction:
         local = train_per_cluster(run.state, ds, ClassifierSpec(kind="logreg", epochs=50))
         local[1] = train_per_cluster(run.state, ds, ClassifierSpec(kind="knn"))[1]
         local[2] = constant_classifier(1)
-        calls = {"builds": 0, "widths": 0}
-        build, check = classifiers._routed_scoring, classifiers._check_width
+        calls = {"builds": 0}
+        build = classifiers._routed_scoring
 
         def counted_build(*args):
             calls["builds"] += 1
             return build(*args)
 
-        def counted_check(*args):
-            calls["widths"] += 1
-            return check(*args)
-
         monkeypatch.setattr(classifiers, "_routed_scoring", counted_build)
-        monkeypatch.setattr(classifiers, "_check_width", counted_check)
         model = CacModel(run.state.centroids.copy(), local, 0.5, run.cost_trace)
-        assert calls == {"builds": 1, "widths": 3}  # the constant cluster has no width
+        assert calls == {"builds": 1}  # the one check of all four classifiers
         x = rng.normal(size=(40, 5))
         for i in range(0, 40, 8):
             cac_predict_batch(model, x[i:i + 8])
         singles = [cac_predict(model, row) for row in x]
-        assert calls == {"builds": 1, "widths": 3}
+        assert calls == {"builds": 1}
         routes = nearest_centroids(x, model.centroids)
         assert set(routes) == set(range(4))
         want = [predict_proba_batch(local[j], row[None])[0] for j, row in zip(routes, x)]
         np.testing.assert_array_equal([sc for _, sc in singles], want)
+
+    def test_knn_clusters_score_as_the_per_cluster_oracle(self, rng):
+        # cluster 2 is a knn cluster that no row is routed to
+        spec = SyntheticSpec(n_samples=300, n_features=5, n_clusters=3, ics=1.0, ocs=1.5, seed=4)
+        ds = make_classification(spec)
+        run = cac_fit(ds, 4, 0.5, seed=4)
+        local = train_per_cluster(run.state, ds, ClassifierSpec(kind="knn", k_neighbors=3))
+        local[3] = constant_classifier(0)
+        assert [clf.kind for clf in local[:3]] == ["knn"] * 3
+        x = rng.normal(size=(90, 5))
+        routes = rng.choice([0, 1, 3], size=90)
+        want = _score_by_route(x, routes, lambda j, xj: reference_predict_proba(local[j], xj), np.empty(90))
+        got = _predict_proba_routed(_routed_scoring(local, 5), x, routes)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((1, 2))], ids=["wrong-length", "two-d"])
     def test_point_of_wrong_shape_rejected(self, x):
@@ -787,6 +803,20 @@ class TestSerialization:
         wide = classifiers.classifier_from_dict(payload["classifiers"][1])
         with pytest.raises(DimensionMismatch, match=f"^{message}$"):
             CacModel(model.centroids, [model.classifiers[0], wide], 0.5, [0.0])
+
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("kind", "svm", InvalidSpec, "cluster 1's classifier has unknown kind 'svm'"),
+        ("weights", None, DimensionMismatch, "cluster 1's logreg classifier has no weight vector"),
+    ], ids=["unknown-kind", "no-weights"])
+    def test_malformed_classifier_entry_refused(self, field, value, error, message):
+        model = self.tiny_model()
+        payload = json.loads(cac_model_to_json(model))
+        payload["classifiers"][1][field] = value
+        with pytest.raises(SchemaMismatch, match=f"^cac model payload is malformed: {message}$"):
+            cac_model_from_json(json.dumps(payload))
+        bad = classifiers.classifier_from_dict(payload["classifiers"][1])
+        with pytest.raises(error, match=f"^{message}$"):
+            CacModel(model.centroids, [model.classifiers[0], bad], 0.5, [0.0])
 
     def test_model_without_classifiers_loads_but_does_not_predict(self):
         payload = json.loads(cac_model_to_json(self.tiny_model()))

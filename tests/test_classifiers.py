@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from cackit import cluster_core
 from cackit.classifiers import (
     ClassifierSpec,
+    TrainedClassifier,
     _sigmoid,
     _softplus,
     _train_logreg_lockstep,
@@ -35,6 +36,7 @@ from cackit.dataset import LabeledDataset, SyntheticSpec, make_classification
 from cackit.errors import (
     DimensionMismatch,
     EmptyCluster,
+    InvalidSpec,
     NotBinary,
     OneClassOnly,
 )
@@ -42,7 +44,7 @@ from cackit.experiments import prepare_data, run_baseline
 from cackit.metrics import auc, evaluate_binary
 
 from conftest import central_difference, rel_err
-from oracles import logreg_loss_grad, reference_train_logreg
+from oracles import logreg_loss_grad, reference_predict_proba, reference_train_logreg
 
 
 def _augmented(x):
@@ -145,12 +147,10 @@ class TestPredictProba:
         assert predict_proba_batch(clf, np.array([[7.0]]))[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_saturates_toward_one(self):
-        from cackit.classifiers import TrainedClassifier
         clf = TrainedClassifier(kind="logreg", weights=np.array([100.0, 0.0]))
         assert predict_proba_batch(clf, np.array([[5.0]]))[0] > 1.0 - 1e-12
 
     def test_hand_computed_sigmoid(self):
-        from cackit.classifiers import TrainedClassifier
         # score 1*2 + (-1)*1 = 1 on the bias-augmented input [2, 1]
         clf = TrainedClassifier(kind="logreg", weights=np.array([1.0, -1.0]))
         want = 1.0 / (1.0 + math.exp(-1.0))
@@ -194,6 +194,54 @@ class TestPredictProba:
         clf = train_logreg(feats, labels, ClassifierSpec(kind="logreg", epochs=2))
         with pytest.raises(DimensionMismatch):
             predict_proba_batch(clf, np.zeros((1, 5)))
+
+
+class TestOneScoringPath:
+    @pytest.mark.parametrize("d", [1, 10, 65])
+    @pytest.mark.parametrize("kind", ["logreg", "ridge", "perceptron", "knn", "constant"])
+    def test_scores_equal_the_per_kind_formula(self, kind, d):
+        # the one-cluster routed pass gives each kind's own formula, bit for bit
+        rng = np.random.default_rng(d)
+        feats, labels = binary_blobs(rng, n=60, d=d, gap=1.0)
+        clf = (constant_classifier(1) if kind == "constant" else
+               train_classifier(feats, labels, ClassifierSpec(kind=kind, epochs=20, k_neighbors=3)))
+        for n in (0, 1, 7, 300):
+            x = 2.0 * rng.normal(size=(n, d))
+            got, want = predict_proba_batch(clf, x), reference_predict_proba(clf, x)
+            assert got.dtype == want.dtype and got.shape == (n,)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["logreg", "ridge", "perceptron", "knn", "constant"])
+    def test_one_dimensional_row_rejected(self, kind, rng):
+        feats, labels = binary_blobs(rng, n=20, d=3)
+        clf = (constant_classifier(0) if kind == "constant" else
+               train_classifier(feats, labels, ClassifierSpec(kind=kind, epochs=5)))
+        with pytest.raises(DimensionMismatch, match=r"^expected a 2-D batch of rows, got shape \(3,\)$"):
+            predict_proba_batch(clf, np.zeros(3))
+
+    @pytest.mark.parametrize("clf, error, message", [
+        (TrainedClassifier("svm", weights=np.zeros(4)), InvalidSpec, "classifier has unknown kind 'svm'"),
+        (TrainedClassifier("constant", constant_proba=1.5), InvalidSpec, "constant_proba 1.5 is not in"),
+        (TrainedClassifier("constant", constant_proba=math.nan), InvalidSpec, "constant_proba nan is not in"),
+        (TrainedClassifier("constant"), InvalidSpec, "constant_proba None is not in"),
+        (TrainedClassifier("ridge"), DimensionMismatch, "ridge classifier has no weight vector"),
+        (TrainedClassifier("logreg", weights=np.zeros((1, 4))), DimensionMismatch,
+         "logreg classifier has no weight vector"),
+        (TrainedClassifier("perceptron", weights=np.zeros(3)), DimensionMismatch,
+         "classifier expected 2 features, got 3"),
+        (TrainedClassifier("knn", train_features=np.zeros((4, 3)), train_labels=np.zeros(3, dtype=np.int64)),
+         DimensionMismatch, "knn classifier needs training rows with one label each"),
+        (TrainedClassifier("knn", train_features=np.zeros((0, 3)), train_labels=np.zeros(0, dtype=np.int64)),
+         DimensionMismatch, "knn classifier needs training rows"),
+        (TrainedClassifier("knn", train_features=np.zeros((4, 3)), train_labels=np.zeros(4, dtype=np.int64),
+                           k_neighbors=0), DimensionMismatch, "knn classifier needs .* got 0$"),
+        (TrainedClassifier("knn", train_features=np.zeros((4, 2)), train_labels=np.zeros(4, dtype=np.int64)),
+         DimensionMismatch, "classifier expected 2 features, got 3"),
+    ], ids=["unknown-kind", "proba-above-one", "proba-nan", "proba-none", "no-weights", "weight-matrix",
+            "narrow-weights", "knn-labels", "knn-no-rows", "knn-k-zero", "knn-narrow"])
+    def test_malformed_classifier_refused(self, clf, error, message):
+        with pytest.raises(error, match=f"^cluster 0's {message}"):
+            predict_proba_batch(clf, np.zeros((2, 3)))
 
 
 class TestLoglossBounds:

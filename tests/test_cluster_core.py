@@ -12,6 +12,8 @@ from cackit.classifiers import ClassifierSpec, predict_proba_batch, train_classi
 from cackit.cluster_core import kmeanspp_init, lloyd, nearest_centroids, silhouette
 from cackit.errors import DimensionMismatch, InfeasibleInit, OneCluster
 
+from oracles import _score_by_route
+
 
 def brute_routes(x, cents):
     """The difference-form argmin nearest_centroids must reproduce bit for bit."""
@@ -287,7 +289,7 @@ class TestScoreByRoute:
             visited.append(int(j))
             return 100.0 * j + rows[:, 0]
 
-        got = cluster_core._score_by_route(x, routes, score, np.full(6, np.nan))
+        got = _score_by_route(x, routes, score, np.full(6, np.nan))
         assert visited == [0, 2, 3]
         np.testing.assert_array_equal(got, 100.0 * routes + x[:, 0])
 
@@ -335,9 +337,9 @@ class TestSilhouette:
         assign = rng.integers(0, 4, size=n)
         assign[[40, 41]] = 1
         assign[0] = 9  # a singleton cluster, which scores 0
-        monkeypatch.setattr(cluster_core, "SILHOUETTE_BLOCK_ELEMENTS", n * n)
+        monkeypatch.setattr(cluster_core, "ROUTE_BLOCK_ELEMENTS", n * n)
         want = silhouette(x, assign)
-        monkeypatch.setattr(cluster_core, "SILHOUETTE_BLOCK_ELEMENTS", rows_per_block * n)
+        monkeypatch.setattr(cluster_core, "ROUTE_BLOCK_ELEMENTS", rows_per_block * n)
         assert silhouette(x, assign) == want
         assert want == pytest.approx(difference_form_silhouette(x, assign), abs=1e-12)
 
@@ -348,9 +350,9 @@ class TestSilhouette:
         n = 150
         x = rng.normal(size=(n, 5))
         assign = rng.integers(0, 4, size=n)
-        monkeypatch.setattr(cluster_core, "SILHOUETTE_BLOCK_ELEMENTS", n * n)
+        monkeypatch.setattr(cluster_core, "ROUTE_BLOCK_ELEMENTS", n * n)
         want = silhouette(x, assign)
-        monkeypatch.setattr(cluster_core, "SILHOUETTE_BLOCK_ELEMENTS", 7 * n)
+        monkeypatch.setattr(cluster_core, "ROUTE_BLOCK_ELEMENTS", 7 * n)
         assert silhouette(x, assign) == pytest.approx(want, abs=1e-9)
 
     @pytest.mark.parametrize("rows_per_block", [1, 7, 150])
@@ -361,7 +363,7 @@ class TestSilhouette:
         stack = rng.integers(0, 4, size=(3, n))
         stack[1, 0] = 9  # a singleton cluster
         stack[2] = np.arange(n) % 2
-        monkeypatch.setattr(cluster_core, "SILHOUETTE_BLOCK_ELEMENTS", rows_per_block * n)
+        monkeypatch.setattr(cluster_core, "ROUTE_BLOCK_ELEMENTS", rows_per_block * n)
         want = [silhouette(x, assign) for assign in stack]
         assert silhouette(x, stack) == want
         assert silhouette(x, list(stack[:2])) == want[:2]

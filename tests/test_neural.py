@@ -6,7 +6,9 @@ over every parameter; the margin cross-entropy has a closed-form per-point
 oracle in the binary case that the sandwich-bound tests reuse.
 """
 
+import dataclasses
 import inspect
+import json
 import math
 
 import numpy as np
@@ -22,6 +24,7 @@ from cackit.errors import (
     DimensionMismatch,
     NotBinary,
     OneClassOnly,
+    SchemaMismatch,
     TrainingDiverged,
     UntrainedModel,
 )
@@ -700,6 +703,42 @@ class TestPredict:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("part", ["local net", "centroids", "local weights"])
+    def test_malformed_model_refused(self, part):
+        # each edit used to load and then fail at scoring with a raw error
+        model, train, _ = small_fit(seed=9, epochs=2)
+        k, latent = model.centroids.shape
+        assert k >= 2
+        payload = json.loads(deepcac_model_to_json(model))
+        if part == "local net":
+            payload["local_nets"].pop()
+            edit = {"local_nets": model.local_nets[:-1]}
+            message = f"cluster {k - 1} has no local net"
+        elif part == "centroids":
+            for row in payload["centroids"]:
+                row.pop()
+            edit = {"centroids": model.centroids[:, :-1]}
+            message = rf"centroids of shape \({k}, {latent - 1}\) vs encoder output width {latent}"
+        else:
+            for row in payload["local_nets"][0]["weights"][0]:
+                row.pop()
+            net = model.local_nets[0].copy()
+            net.weights[0] = net.weights[0][:, :-1]
+            edit = {"local_nets": [net, *model.local_nets[1:]]}
+            hidden = net.biases[0].size
+            message = rf"local net 0 layer 0: weights \({latent}, {hidden - 1}\) and bias \({hidden},\) do not chain"
+        with pytest.raises(SchemaMismatch, match=f"^deepcac model payload is malformed: {message}$"):
+            deepcac_model_from_json(json.dumps(payload))
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            dataclasses.replace(model, **edit)
+        deepcac_predict_batch(model, train.features)  # the model itself still scores
+
+    def test_head_must_fit_the_latent_width(self):
+        model, _, _ = small_fit(seed=9, epochs=2)
+        head = AmsHead(model.head.weight[:, :-1], model.head.scale, model.head.margin)
+        with pytest.raises(DimensionMismatch, match=r"^head of shape \(2, 3\) is not \(2, 4\)$"):
+            dataclasses.replace(model, head=head)
+
     def test_json_round_trip(self):
         model, train, _ = small_fit(seed=9, epochs=2)
         text = deepcac_model_to_json(model)
