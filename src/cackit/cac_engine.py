@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import classifiers as _clf
-from .cluster_core import _dump_model, _load_model, kmeanspp_init, lloyd, nearest_centroids
+from .cluster_core import _dump_model, _finite, _load_model, kmeanspp_init, lloyd, nearest_centroids
 from .dataset import LabeledDataset
 from .errors import DimensionMismatch, EmptyCluster, IllegalMove, InfeasibleInit, NotBinary, UntrainedModel
 from .metrics import DECISION_THRESHOLD
@@ -324,6 +324,7 @@ class CacModel:
         n, k = len(self.classifiers), self.k
         if n and n != k:
             raise DimensionMismatch(f"cluster {n} has no classifier" if n < k else f"classifier {k} has no cluster")
+        _finite("centroids", self.centroids)
         self._scoring = _clf._routed_scoring(self.classifiers, self.centroids.shape[1])
 
     @property

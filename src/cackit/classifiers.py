@@ -244,9 +244,9 @@ def _routed_scoring(classifiers: list[TrainedClassifier], width: int) -> tuple:
     """What `_predict_proba_routed` scores from: the (k, width+1) weight table of the
     linear clusters, each constant cluster's `constant_proba` (NaN elsewhere) and the
     knn classifiers by cluster. The one check of a classifier, naming its cluster: an
-    unknown kind or a constant_proba not in [0, 1] is an InvalidSpec; arrays that are
-    empty or do not fit `width` or each other, or a k_neighbors below 1, are a
-    DimensionMismatch."""
+    unknown kind, a constant_proba not in [0, 1], a value that is not finite or a knn label
+    other than 0 and 1 is an InvalidSpec; arrays that are empty or do not fit `width` or
+    each other, or a k_neighbors below 1, are a DimensionMismatch."""
     table = np.zeros((len(classifiers), width + 1))
     constant = np.full(len(classifiers), np.nan)
     knn = {}
@@ -264,13 +264,16 @@ def _routed_scoring(classifiers: list[TrainedClassifier], width: int) -> tuple:
                     or not labels.size or clf.k_neighbors < 1):
                 raise DimensionMismatch(f"cluster {j}'s knn classifier needs training rows with one label "
                                         f"each and k_neighbors >= 1, got {clf.k_neighbors}")
-            knn[j], expected = clf, train.shape[1]
+            if not np.isin(labels, (0, 1)).all():
+                raise InvalidSpec(f"cluster {j}'s knn labels {np.unique(labels).tolist()} are not all 0 or 1")
+            knn[j], expected, values = clf, train.shape[1], train
         elif clf.weights is None or clf.weights.ndim != 1:
             raise DimensionMismatch(f"cluster {j}'s {clf.kind} classifier has no weight vector")
         else:
-            expected = clf.weights.shape[0] - 1
+            expected, values = clf.weights.shape[0] - 1, clf.weights
         if expected != width:
             raise DimensionMismatch(f"cluster {j}'s classifier expected {expected} features, got {width}")
+        cluster_core._finite(f"cluster {j}'s {clf.kind} classifier", values)
         if clf.kind != "knn":
             table[j] = clf.weights
     return table, constant, knn

@@ -117,6 +117,12 @@ def _dump_model(kind: str, fields: dict) -> str:
     return json.dumps({"schema": MODEL_SCHEMA, "kind": kind, **fields}, indent=2)
 
 
+def _finite(part: str, *arrays: np.ndarray) -> None:
+    """An InvalidSpec naming `part`, a part of a model, unless every entry of `arrays` is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise InvalidSpec(f"{part} holds a value that is not finite")
+
+
 def _load_model(text: str, kind: str, build):
     """`build` applied to the JSON object of a saved `kind` model, schema MODEL_SCHEMA.
 

@@ -376,9 +376,7 @@ def compare_reports(paths: list) -> tuple[str, str]:
     csv_text = _csv_text(header, [r[:4] + [repr(float(v)) for v in r[4:8]] + [r[8]] for r in rows])
 
     widths = [max(len(str(header[i])), max(len(_fmt(r[i])) for r in rows)) for i in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for r in rows:
-        lines.append("  ".join(_fmt(v).ljust(w) for v, w in zip(r, widths)))
+    lines = ["  ".join(_fmt(v).ljust(w) for v, w in zip(r, widths)) for r in [header, *rows]]
     return csv_text, "\n".join(lines)
 
 

@@ -124,12 +124,7 @@ def evaluate_binary(scores, labels, silhouette: float | None = None) -> EvalRepo
 def macro_auprc(proba: np.ndarray, labels: np.ndarray, n_classes: int) -> float:
     """One-vs-rest AUPRC averaged over the classes present in `labels`."""
     y = np.asarray(labels, dtype=np.int64)
-    vals = []
-    for c in range(n_classes):
-        mask = (y == c).astype(np.int64)
-        if mask.sum() == 0:
-            continue
-        vals.append(auprc(proba[:, c], mask))
+    vals = [auprc(proba[:, c], y == c) for c in range(n_classes) if (y == c).any()]
     if not vals:
         raise OneClassOnly("no class present in labels")
     return float(np.mean(vals))
@@ -139,11 +134,6 @@ def evaluate_multiclass(proba, labels, n_classes: int) -> EvalReport:
     """Macro one-vs-rest report; per-class AUC/AUPRC averaged over present classes."""
     p = np.asarray(proba, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    pred = p.argmax(axis=1)
-    aucs = []
-    for c in range(n_classes):
-        mask = (y == c).astype(np.int64)
-        if 0 < mask.sum() < y.size:
-            aucs.append(auc(p[:, c], mask))
-    cm = confusion(pred, y, n_classes)
+    aucs = [auc(p[:, c], y == c) for c in range(n_classes) if 0 < (y == c).sum() < y.size]
+    cm = confusion(p.argmax(axis=1), y, n_classes)
     return _report(cm, float(np.mean(aucs)) if aucs else 0.5, macro_auprc(p, y, n_classes))

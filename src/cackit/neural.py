@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics as _metrics
-from .cluster_core import _dump_model, _load_model, kmeanspp_init, lloyd, nearest_centroids
+from .cluster_core import _dump_model, _finite, _load_model, kmeanspp_init, lloyd, nearest_centroids
 from .dataset import LabeledDataset
 from .errors import (DimensionMismatch, InvalidSpec, NotBinary, OneClassOnly, TrainingDiverged,
                      UntrainedModel)
@@ -124,12 +124,29 @@ def _backward_runs(nets: list[DenseNet], caches: list, grad: np.ndarray,
     return grad
 
 
-def net_forward(net: DenseNet, x: np.ndarray) -> tuple[np.ndarray, list]:
-    """Forward pass returning the output and per-layer caches for backprop."""
+def _rows(net: DenseNet, x: np.ndarray) -> np.ndarray:
+    """x as a float64 batch of rows as wide as net's input, else a DimensionMismatch."""
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != net.weights[0].shape[0]:
         raise DimensionMismatch(f"input shape {h.shape} vs layer dim {net.weights[0].shape[0]}")
-    return _forward_runs([net], h, [(0, slice(None))])
+    return h
+
+
+def net_forward(net: DenseNet, x: np.ndarray) -> tuple[np.ndarray, list]:
+    """Forward pass returning the output and per-layer caches for backprop."""
+    return _forward_runs([net], _rows(net, x), [(0, slice(None))])
+
+
+def _infer(net: DenseNet, x: np.ndarray) -> np.ndarray:
+    """`net_forward(net, x)[0]` bit for bit, for inference: per layer the same product, bias
+    sum in place and ReLU, without the caches backprop needs."""
+    h, last = _rows(net, x), len(net.weights) - 1
+    for l in range(last + 1):
+        h = h @ net.weights[l]
+        h += net.biases[l]
+        if l < last:
+            np.maximum(h, 0.0, out=h)
+    return h
 
 
 def net_backward(net: DenseNet, caches: list, grad_out: np.ndarray) -> tuple[tuple[list, list], np.ndarray]:
@@ -162,7 +179,7 @@ def init_params(n_features: int, hidden: int, latent: int, seed: int = 0) -> Net
 
 
 def encode(params: NetParams, x: np.ndarray) -> np.ndarray:
-    return net_forward(params.encoder, x)[0]
+    return _infer(params.encoder, x)
 
 
 # --- margin head ----------------------------------------------------------
@@ -484,16 +501,18 @@ class DeepCacModel:
     history: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        """Check once that the parts fit: the encoder's layers chain, the centroids are as wide
-        as its output, and the head and one local net per centroid fit that width and n_classes."""
+        """Check once that the parts fit and are finite: the encoder's layers chain, the centroids
+        match its output width, and the head and one local net per centroid fit it and n_classes."""
         latent = _net_widths(self.encoder, "encoder")[1]
         if self.centroids.ndim != 2 or self.centroids.shape[1] != latent:
             raise DimensionMismatch(f"centroids of shape {self.centroids.shape} vs encoder output width {latent}")
+        _finite("centroids", self.centroids)
         n, k = len(self.local_nets), self.k
         if n and n != k:
             raise DimensionMismatch(f"cluster {n} has no local net" if n < k else f"local net {k} has no cluster")
         if self.head.weight.shape != (self.n_classes, latent):
             raise DimensionMismatch(f"head of shape {self.head.weight.shape} is not ({self.n_classes}, {latent})")
+        _finite("head weight", self.head.weight)
         for j, net in enumerate(self.local_nets):
             if _net_widths(net, f"local net {j}") != (latent, self.n_classes):
                 raise DimensionMismatch(f"local net {j} does not map {latent} inputs to {self.n_classes} classes")
@@ -504,12 +523,13 @@ class DeepCacModel:
 
 
 def _net_widths(net: DenseNet, part: str) -> tuple[int, int]:
-    """The input and output widths of `net`, whose layers must chain."""
+    """The input and output widths of `net`, whose layers must chain and be finite."""
     if not net.weights or len(net.weights) != len(net.biases):
         raise DimensionMismatch(f"{part} has {len(net.weights)} weight matrices and {len(net.biases)} biases")
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
         if w.ndim != 2 or b.shape != w.shape[1:] or (l and w.shape[0] != net.weights[l - 1].shape[1]):
             raise DimensionMismatch(f"{part} layer {l}: weights {w.shape} and bias {b.shape} do not chain")
+        _finite(f"{part} layer {l}", w, b)
     return net.weights[0].shape[0], net.weights[-1].shape[1]
 
 
@@ -611,7 +631,7 @@ def _train_local_nets(encoder: DenseNet, centroids: np.ndarray, z_train: np.ndar
     layout = np.argsort(np.concatenate([np.arange(n) // batch_size for n in sizes]), kind="stable")
     z_sorted, y_sorted = z_train[order], y_train[order]
 
-    z_val = net_forward(encoder, ds_val.features)[0]
+    z_val = _infer(encoder, ds_val.features)
     val_routes = nearest_centroids(z_val, centroids)
     val_order, val_runs = np.argsort(val_routes, kind="stable"), _route_runs(val_routes, k)
     z_val_sorted = z_val[val_order]
@@ -750,21 +770,23 @@ def deepcac_predict_batch(model: DeepCacModel, features: np.ndarray) -> tuple[np
     """Labels and class probabilities for a feature matrix."""
     if not model.local_nets:
         raise UntrainedModel("model has no trained local networks")
-    x = np.asarray(features, dtype=np.float64)
-    z = net_forward(model.encoder, x)[0]
+    z = _infer(model.encoder, features)
     routes = nearest_centroids(z, model.centroids)
     probs = _local_proba(model.local_nets, z, routes)
     if model.n_classes == 2:
-        labels = (probs[:, 1] >= _metrics.DECISION_THRESHOLD).astype(np.int64)
-    else:
-        labels = probs.argmax(axis=1)
-    return labels, probs
+        return (probs[:, 1] >= _metrics.DECISION_THRESHOLD).astype(np.int64), probs
+    return probs.argmax(axis=1), probs
 
 
 def deepcac_predict(model: DeepCacModel, x: np.ndarray) -> tuple[int, np.ndarray]:
-    """Single-point prediction: (label, class probabilities)."""
-    labels, probs = deepcac_predict_batch(model, np.asarray(x, dtype=np.float64)[None, :])
-    return int(labels[0]), probs[0]
+    """Single-point prediction: (label, class probabilities), bit for bit the batch of one
+    x[None, :]. The row is encoded, routed and scored by its route's local net alone."""
+    if not model.local_nets:
+        raise UntrainedModel("model has no trained local networks")
+    z = _infer(model.encoder, np.asarray(x, dtype=np.float64)[None, :])
+    probs = _softmax(_infer(model.local_nets[nearest_centroids(z, model.centroids)[0]], z))[0]
+    label = probs[1] >= _metrics.DECISION_THRESHOLD if model.n_classes == 2 else probs.argmax()
+    return int(label), probs
 
 
 # --- serialization --------------------------------------------------------

@@ -8,6 +8,7 @@ one-point move wrappers around the block scorer live in oracles.py.
 
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -775,11 +776,11 @@ class TestPrediction:
 
 
 class TestSerialization:
-    def tiny_model(self):
+    def tiny_model(self, kind="logreg"):
         spec = SyntheticSpec(n_samples=200, n_features=3, n_clusters=2, ics=1.0, ocs=1.0, seed=9)
         ds = make_classification(spec)
         run = cac_fit(ds, 2, 0.5, seed=9)
-        local = train_per_cluster(run.state, ds, ClassifierSpec(kind="logreg", epochs=50))
+        local = train_per_cluster(run.state, ds, ClassifierSpec(kind=kind, epochs=50, k_neighbors=3))
         return CacModel(run.state.centroids.copy(), local, 0.5, run.cost_trace)
 
     @pytest.mark.parametrize("keep, message", [(1, "cluster 1 has no classifier"),
@@ -817,6 +818,33 @@ class TestSerialization:
         bad = classifiers.classifier_from_dict(payload["classifiers"][1])
         with pytest.raises(error, match=f"^{message}$"):
             CacModel(model.centroids, [model.classifiers[0], bad], 0.5, [0.0])
+
+    @pytest.mark.parametrize("part, message", [
+        ("logreg weight", "cluster 1's logreg classifier holds a value that is not finite"),
+        ("centroid", "centroids holds a value that is not finite"),
+        ("knn row", "cluster 0's knn classifier holds a value that is not finite"),
+        ("knn label", r"cluster 0's knn labels \[0, 1, 2\] are not all 0 or 1"),
+    ], ids=["nan-logreg-weight", "inf-centroid", "nan-knn-row", "knn-label-two"])
+    def test_value_that_cannot_score_refused(self, part, message):
+        # such a model would score NaN, or a knn "probability" above 1
+        model = self.tiny_model("knn" if part.startswith("knn") else "logreg")
+        assert model.classifiers[0].kind == model.classifiers[1].kind
+        payload = json.loads(cac_model_to_json(model))
+        if part == "logreg weight":
+            payload["classifiers"][1]["weights"][0] = math.nan
+        elif part == "centroid":
+            payload["centroids"][1][2] = math.inf
+        elif part == "knn row":
+            payload["classifiers"][0]["train_features"][3][1] = math.nan
+        else:
+            payload["classifiers"][0]["train_labels"][5] = 2
+        text = json.dumps(payload)
+        with pytest.raises(SchemaMismatch, match=f"^cac model payload is malformed: {message}$"):
+            cac_model_from_json(text)
+        bad = json.loads(text)
+        with pytest.raises(InvalidSpec, match=f"^{message}$"):
+            CacModel(np.asarray(bad["centroids"]), [classifiers.classifier_from_dict(c) for c in bad["classifiers"]],
+                     0.5, [0.0])
 
     def test_model_without_classifiers_loads_but_does_not_predict(self):
         payload = json.loads(cac_model_to_json(self.tiny_model()))

@@ -237,8 +237,18 @@ class TestOneScoringPath:
                            k_neighbors=0), DimensionMismatch, "knn classifier needs .* got 0$"),
         (TrainedClassifier("knn", train_features=np.zeros((4, 2)), train_labels=np.zeros(4, dtype=np.int64)),
          DimensionMismatch, "classifier expected 2 features, got 3"),
+        (TrainedClassifier("logreg", weights=np.array([0.0, np.nan, 0.0, 0.0])), InvalidSpec,
+         "logreg classifier holds a value that is not finite$"),
+        (TrainedClassifier("ridge", weights=np.array([0.0, 0.0, 0.0, -np.inf])), InvalidSpec,
+         "ridge classifier holds a value that is not finite$"),
+        (TrainedClassifier("knn", train_features=np.array([[0.0, 0.0, np.inf]] * 4),
+                           train_labels=np.array([0, 1, 0, 1])), InvalidSpec,
+         "knn classifier holds a value that is not finite$"),
+        (TrainedClassifier("knn", train_features=np.zeros((4, 3)), train_labels=np.array([0, 1, 2, 1])),
+         InvalidSpec, r"knn labels \[0, 1, 2\] are not all 0 or 1$"),
     ], ids=["unknown-kind", "proba-above-one", "proba-nan", "proba-none", "no-weights", "weight-matrix",
-            "narrow-weights", "knn-labels", "knn-no-rows", "knn-k-zero", "knn-narrow"])
+            "narrow-weights", "knn-labels", "knn-no-rows", "knn-k-zero", "knn-narrow", "nan-weight",
+            "inf-weight", "knn-inf-row", "knn-label-two"])
     def test_malformed_classifier_refused(self, clf, error, message):
         with pytest.raises(error, match=f"^cluster 0's {message}"):
             predict_proba_batch(clf, np.zeros((2, 3)))

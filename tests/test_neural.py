@@ -10,6 +10,7 @@ import dataclasses
 import inspect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from cackit.classifiers import constant_classifier
 from cackit.cluster_core import kmeanspp_init, lloyd, nearest_centroids
 from cackit.errors import (
     DimensionMismatch,
+    InvalidSpec,
     NotBinary,
     OneClassOnly,
     SchemaMismatch,
@@ -30,6 +32,7 @@ from cackit.errors import (
 )
 from cackit.neural import (
     AmsHead,
+    _infer,
     _local_proba,
     _train_local_nets,
     DeepCacModel,
@@ -663,6 +666,44 @@ class TestLockstepLocalNets:
         assert got.tobytes() == reference_local_proba(nets, z, routes, sizes[-1]).tobytes()
 
 
+def three_class_fit(seed=12):
+    """A DeepCAC fit on three classes, cut from two features of a small synthetic set."""
+    ds = make_classification(SyntheticSpec(n_samples=300, n_features=6, n_clusters=2,
+                                           ics=2.0, ocs=2.0, seed=seed))
+    labels = (ds.features[:, 0] > 0.3).astype(int) + (ds.features[:, 1] > 0.0).astype(int)
+    ds3 = LabeledDataset.from_arrays(ds.features, labels)
+    train, val, _ = split(ds3, SplitSpec(0.6, 0.2, 0.2, seed=seed))
+    model = deepcac_fit(train, val, 3, seed=seed, epochs=2, hidden=10, latent=4, pretrain_epochs=10,
+                        local_epochs=20, batch_size=64)
+    return model, train
+
+
+class TestInferenceForward:
+    @pytest.mark.parametrize("sizes", [[6, 9, 2], [5, 30, 8, 3]], ids=["two-layers", "three-layers"])
+    def test_equals_net_forward_bit_for_bit(self, sizes):
+        # the same products, bias sums and ReLUs as the cached pass, without its caches
+        rng = np.random.default_rng(len(sizes))
+        net = init_dense(sizes, rng)
+        for b in net.biases:  # non-zero biases, so that a bias added differently shows
+            b += rng.normal(size=b.shape)
+        for n in (0, 1, 7, 300):
+            x = 3.0 * rng.normal(size=(n, sizes[0]))
+            before = x.copy()
+            for h in (x, np.asfortranarray(x)):
+                got, want = _infer(net, h), net_forward(net, h)[0]
+                assert got.shape == want.shape == (n, sizes[-1])
+                assert got.tobytes() == want.tobytes()
+            assert x.tobytes() == before.tobytes()
+
+    def test_rejects_what_net_forward_rejects(self):
+        net = init_dense([6, 4, 2], np.random.default_rng(0))
+        for x in (np.zeros(6), np.zeros((3, 5))):
+            with pytest.raises(DimensionMismatch) as want:
+                net_forward(net, x)
+            with pytest.raises(DimensionMismatch, match=f"^{re.escape(str(want.value))}$"):
+                _infer(net, x)
+
+
 class TestPredict:
     def test_probabilities_sum_to_one(self):
         model, train, _ = small_fit(seed=5, k=2, epochs=2)
@@ -685,6 +726,33 @@ class TestPredict:
             assert lab == labels[i]
             np.testing.assert_allclose(p, probs[i], rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("kind", ["binary", "three-class", "kmz"])
+    def test_one_row_equals_a_batch_of_one(self, kind):
+        # the one-row path runs only its route's local net, and must give every row
+        # the bits that the batch path gives that row alone
+        if kind == "three-class":
+            model, train = three_class_fit()
+        else:
+            model, train, _ = small_fit(seed=11, k=3, **({"fit": kmz_fit} if kind == "kmz" else {}))
+        assert model.n_classes == (3 if kind == "three-class" else 2)
+        routes = nearest_centroids(net_forward(model.encoder, train.features)[0], model.centroids)
+        assert np.unique(routes).size >= 2
+        for row in train.features:
+            label, probs = deepcac_predict(model, row)
+            labels, batch = deepcac_predict_batch(model, row[None])
+            assert type(label) is int and label == labels[0]
+            assert probs.dtype == batch.dtype and probs.shape == (model.n_classes,)
+            assert probs.tobytes() == batch[0].tobytes()
+
+    @pytest.mark.parametrize("x, message", [
+        (np.zeros(5), r"input shape \(1, 5\) vs layer dim 6"),
+        (np.zeros((1, 6)), r"input shape \(1, 1, 6\) vs layer dim 6"),
+    ], ids=["wrong-width", "two-d"])
+    def test_row_of_wrong_shape_rejected(self, x, message):
+        model, _, _ = small_fit(seed=10, epochs=1)
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            deepcac_predict(model, x)
+
     def test_one_dimensional_batch_rejected(self):
         deep, train, _ = small_fit(seed=10, epochs=1)
         d = train.n_features
@@ -698,7 +766,7 @@ class TestPredict:
         model, _, _ = small_fit(seed=8, epochs=2)
         bare = DeepCacModel(model.encoder, model.centroids, [], model.alpha,
                             model.beta, model.delta, model.head, model.n_classes)
-        with pytest.raises(UntrainedModel):
+        with pytest.raises(UntrainedModel, match="^model has no trained local networks$"):
             deepcac_predict(bare, np.zeros(6))
 
 
@@ -732,6 +800,40 @@ class TestSerialization:
         with pytest.raises(DimensionMismatch, match=f"^{message}$"):
             dataclasses.replace(model, **edit)
         deepcac_predict_batch(model, train.features)  # the model itself still scores
+
+    @pytest.mark.parametrize("part, message", [
+        ("local net weight", "local net 0 layer 0"),
+        ("encoder bias", "encoder layer 1"),
+        ("centroid", "centroids"),
+        ("head weight", "head weight"),
+    ], ids=["nan-local-weight", "nan-encoder-bias", "inf-centroid", "nan-head-weight"])
+    def test_value_that_cannot_score_refused(self, part, message):
+        # such a model would score NaN
+        model, _, _ = small_fit(seed=9, epochs=2)
+        payload = json.loads(deepcac_model_to_json(model))
+        if part == "local net weight":
+            payload["local_nets"][0]["weights"][0][2][1] = math.nan
+            net = model.local_nets[0].copy()
+            net.weights[0][2, 1] = math.nan
+            edit = {"local_nets": [net, *model.local_nets[1:]]}
+        elif part == "encoder bias":
+            payload["encoder"]["biases"][1][0] = math.nan
+            net = model.encoder.copy()
+            net.biases[1][0] = math.nan
+            edit = {"encoder": net}
+        elif part == "centroid":
+            payload["centroids"][1][0] = -math.inf
+            edit = {"centroids": model.centroids.copy()}
+            edit["centroids"][1, 0] = -math.inf
+        else:
+            payload["head"]["weight"][0][0] = math.nan
+            edit = {"head": model.head.copy()}
+            edit["head"].weight[0, 0] = math.nan
+        message += " holds a value that is not finite"
+        with pytest.raises(SchemaMismatch, match=f"^deepcac model payload is malformed: {message}$"):
+            deepcac_model_from_json(json.dumps(payload))
+        with pytest.raises(InvalidSpec, match=f"^{message}$"):
+            dataclasses.replace(model, **edit)
 
     def test_head_must_fit_the_latent_width(self):
         model, _, _ = small_fit(seed=9, epochs=2)
